@@ -206,6 +206,7 @@ struct Flight {
   JobInput input;
   std::shared_ptr<bo::Engine*> engine;  ///< set by the engine factory
   Clock::time_point admitted;
+  std::string error;  ///< set when stepping or persisting it threw
 };
 
 service::SessionSpec sessionSpec(Workload w, const JobInput& job,
@@ -223,14 +224,52 @@ service::SessionSpec sessionSpec(Workload w, const JobInput& job,
   return spec;
 }
 
+/// Untraced fleet round, through the library's scheduler. Its step-latency
+/// sample is the round's wall time over the sessions it stepped (one step
+/// plus its persist each). A round that throws fails every session in
+/// flight, since the throwing one cannot be told apart.
+void scheduledRound(service::SessionManager& manager,
+                    std::vector<Flight>& flights, Pass& pass) {
+  const Clock::time_point start = Clock::now();
+  try {
+    const std::size_t stepped = manager.stepRound();
+    pass.step_seconds.push_back(secondsSince(start) /
+                                static_cast<double>(std::max<std::size_t>(1, stepped)));
+  } catch (const std::exception& e) {
+    for (Flight& f : flights) f.error = e.what();
+  }
+}
+
+/// Traced fleet round: what SessionManager::stepRound does with
+/// checkpoint_every = 1 (step each running session once, in admission
+/// order, then persist it), driven here so that every Session::step is
+/// timed under the engine state it started in. The traced run's untraced
+/// replay goes through stepRound, so the transparency check also holds
+/// this loop to the library's scheduler.
+void tracedRound(service::SessionManager& manager, std::vector<Flight>& flights,
+                 const std::string& dir, Pass& pass, Instruments& inst) {
+  const Clock::time_point start = Clock::now();
+  for (Flight& f : flights) {
+    try {
+      service::Session& session = manager.session(f.input.id);
+      timedStep(**f.engine, pass, &inst, [&] { session.step(); });
+      manager.persist(f.input.id);
+      const std::string path = dir + "/" + f.input.id +
+                               (session.done() ? ".result.json" : ".ckpt.json");
+      inst.ckpt_bytes += std::filesystem::file_size(path);
+      ++inst.ckpt_writes;
+    } catch (const std::exception& e) {
+      f.error = e.what();
+    }
+  }
+  inst.step_round.add(Clock::now() - start);
+}
+
 /// fleet_sessions: a SessionManager keeps kFleetInFlight sessions in
 /// flight, persisting every session after every step, and admits the next
-/// generated session as each one completes. The benchmark runs the fair
-/// round-robin itself (step each running session once, in admission order,
-/// then persist it — what SessionManager::stepRound does with
-/// checkpoint_every = 1) so that every Session::step is timed on its own.
-/// Runs until @p deadline (checked at round boundaries), or until every id
-/// in @p until is complete when that set is non-empty.
+/// generated session as each one completes. Runs until @p deadline (checked
+/// at round boundaries), or until every id in @p until is complete when
+/// that set is non-empty.
 Pass runFleet(Workload w, std::uint64_t seed, Clock::time_point deadline,
               const std::set<std::string>& until, const std::string& dir,
               Instruments* inst) {
@@ -257,24 +296,18 @@ Pass runFleet(Workload w, std::uint64_t seed, Clock::time_point deadline,
   for (std::size_t i = 0; i < kFleetInFlight; ++i) admit();
 
   for (;;) {
-    const Clock::time_point round_start = Clock::now();
+    if (inst != nullptr)
+      tracedRound(manager, flights, dir, pass, *inst);
+    else
+      scheduledRound(manager, flights, pass);
     std::size_t finished = 0;
     for (Flight& f : flights) {
       JobRecord rec;
-      bool done = false;
-      try {
-        service::Session& session = manager.session(f.input.id);
-        timedStep(**f.engine, pass, inst, [&] { session.step(); });
-        manager.persist(f.input.id);
-        if (inst != nullptr) {
-          const std::string path =
-              dir + "/" + f.input.id +
-              (session.done() ? ".result.json" : ".ckpt.json");
-          inst->ckpt_bytes += std::filesystem::file_size(path);
-          ++inst->ckpt_writes;
-        }
-        if (session.done()) {
-          done = true;
+      rec.error = f.error;
+      if (rec.error.empty()) {
+        try {
+          service::Session& session = manager.session(f.input.id);
+          if (!session.done()) continue;
           rec.result = session.resultJson().at("result").dump();
           if (inst != nullptr) {
             const Json artifact = session.artifactJson(true);
@@ -282,12 +315,10 @@ Pass runFleet(Workload w, std::uint64_t seed, Clock::time_point deadline,
             if (metrics.contains("spans"))
               accumulateSpans(metrics.at("spans"), inst->spans);
           }
+        } catch (const std::exception& e) {
+          rec.error = e.what();
         }
-      } catch (const std::exception& e) {
-        done = true;
-        rec.error = e.what();
       }
-      if (!done) continue;
       rec.input = f.input;
       rec.seconds = secondsSince(f.admitted);
       remaining.erase(f.input.id);
@@ -296,7 +327,6 @@ Pass runFleet(Workload w, std::uint64_t seed, Clock::time_point deadline,
       f.engine.reset();
       ++finished;
     }
-    if (inst != nullptr) inst->step_round.add(Clock::now() - round_start);
     std::erase_if(flights, [](const Flight& f) { return !f.engine; });
     const bool stop = until.empty() ? Clock::now() >= deadline
                                     : remaining.empty();

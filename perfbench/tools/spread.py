@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Run-to-run spread of the benchmark's metrics over several seeds.
+"""Run-to-run spread of the benchmark's end-to-end metrics over several seeds.
 
-    python3 perfbench/tools/spread.py --workload pa_synth --seeds 1-10 \
-        [--seconds 20] [--trace 0] [--bench BENCHMARK.json]
+    python3 perfbench/tools/spread.py --workload pa_synth --seeds 1-10
 
-Runs perfbench/run.py once per seed, sequentially, and prints for each
-metric its median and its spread: the distance between the first and third
-quartiles (statistics.quantiles(values, n=4)) as a share of the median.
-With --bench, each end-to-end metric's spread is compared against a third
-of its bound. Run from the root of a checkout.
+Run from the root of a checkout. Runs perfbench/run.py once per seed,
+sequentially, for BENCHMARK.json's run_seconds, and prints each run's
+result line. Then, for each end-to-end metric, it prints the median and the
+spread (the distance between the first and third quartiles,
+statistics.quantiles(values, n=4), as a share of the median) next to a
+third of the metric's bound. Exits 1 when a run fails or a spread is wider
+than a third of its bound.
 """
 
 import argparse
@@ -33,50 +34,37 @@ def spread(values):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", default="1-5")
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--trace", type=int, default=0)
-    parser.add_argument("--bench", default=None)
-    parser.add_argument("--out", default=None,
-                        help="append every run's result line to this file")
+    parser.add_argument("--seeds", default="1-5",
+                        help="a range 'A-B' or a list 'A,B,C'")
     args = parser.parse_args()
 
-    bounds = {}
-    if args.bench:
-        with open(args.bench) as f:
-            for m in json.load(f)["end_to_end"]:
-                bounds[m["name"]] = m["bound"]
+    with open("BENCHMARK.json") as f:
+        bench = json.load(f)
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
+    ok = True
     runs = []
     for seed in parse_seeds(args.seeds):
         done = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", args.workload,
-             "--seed", str(seed), "--seconds", str(args.seconds), "--trace",
-             str(args.trace)],
+             "--seed", str(seed), "--seconds", str(bench["run_seconds"]),
+             "--trace", "0"],
             stdout=subprocess.PIPE, text=True)
         last = done.stdout.rstrip("\n").split("\n")[-1]
-        result = json.loads(last)
-        print(f"seed {seed}: exit {done.returncode} correct={result['correct']}"
-              f" attempted={result['attempted']} failed={result['failed']}",
-              flush=True)
-        if args.out:
-            with open(args.out, "a") as f:
-                f.write(json.dumps({"workload": args.workload, "seed": seed,
-                                    "result": result}) + "\n")
-        runs.append(result)
+        print(f"seed {seed}: exit {done.returncode} {last}", flush=True)
+        if done.returncode != 0:
+            ok = False
+            continue
+        runs.append(json.loads(last)["metrics"])
 
-    ok = True
-    names = list(runs[0]["metrics"])
-    for name in names:
-        values = [r["metrics"][name]["value"] for r in runs]
-        med, rel = spread(values)
-        note = ""
-        if name in bounds:
-            limit = bounds[name] / 3
-            good = rel <= limit or name == "setup_s"
-            ok = ok and good
-            note = f"  bound/3={limit:.3f} {'ok' if good else 'TOO WIDE'}"
-        print(f"{name:34s} median {med:12.6g}  spread {rel:7.3f}{note}")
+    if len(runs) < 2:
+        sys.exit(1)
+    for name, bound in bounds.items():
+        med, rel = spread([r[name]["value"] for r in runs])
+        good = rel <= bound / 3
+        ok = ok and good
+        print(f"{name:14s} median {med:12.6g}  spread {rel:6.3f}  "
+              f"bound/3 {bound / 3:.3f} {'ok' if good else 'TOO WIDE'}")
     sys.exit(0 if ok else 1)
 
 
