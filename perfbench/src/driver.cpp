@@ -232,9 +232,9 @@ void scheduledRound(service::SessionManager& manager,
                     std::vector<Flight>& flights, Pass& pass) {
   const Clock::time_point start = Clock::now();
   try {
-    const std::size_t stepped = manager.stepRound();
-    pass.step_seconds.push_back(secondsSince(start) /
-                                static_cast<double>(std::max<std::size_t>(1, stepped)));
+    const double stepped =
+        static_cast<double>(std::max<std::size_t>(1, manager.stepRound()));
+    pass.step_seconds.push_back(secondsSince(start) / stepped);
   } catch (const std::exception& e) {
     for (Flight& f : flights) f.error = e.what();
   }
