@@ -8,14 +8,16 @@
 // simulator bill — it trades surrogate freshness for the ability to keep q
 // simulators busy — so the interesting numbers are the proposal-loop
 // overhead per q and the hard invariants: every q must produce
-// byte-identical results across thread counts, and a run resumed from a
-// mid-run checkpoint must reproduce the uninterrupted bytes. The binary
+// byte-identical results across thread counts, and a run replayed from
+// the run log persisted up to a mid-run boundary must reproduce the
+// uninterrupted bytes. The binary
 // exits 1 when any identity leg fails, so a regression fails CI even
 // without artifact validation.
 //
 // --dump-checkpoint FILE additionally writes the golden resume fixture
-// consumed by tests/test_checkpoint.cpp: a mid-run q=2 checkpoint plus the
-// uninterrupted run's final result document.
+// consumed by tests/test_checkpoint.cpp: the run log of a q=2 run killed
+// at its middle boundary plus the uninterrupted run's final result
+// document.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,8 +34,8 @@ namespace {
 using namespace mfbo;
 
 /// Canonical fixture configuration. tests/test_checkpoint.cpp mirrors these
-/// values for the committed-fixture restore test; the options digest inside
-/// the checkpoint turns any drift between the two copies into a loud
+/// values for the committed-fixture replay test; the options section of the
+/// log header turns any drift between the two copies into a loud
 /// ContractViolation rather than a silent mismatch.
 bo::MfboOptions fixtureOptions(std::size_t batch_size) {
   bo::MfboOptions opt;
@@ -137,42 +139,47 @@ int main(int argc, char** argv) {
                 identical ? "yes" : "NO");
   }
 
-  // Checkpoint/resume identity: kill the canonical q=2 run at its middle
-  // boundary, resume from the serialized document, require the bytes of
-  // the uninterrupted run.
-  std::vector<Json> boundary_checkpoints;
+  // Log/replay identity: persist the canonical q=2 run's log at every
+  // boundary, kill it at its middle boundary, replay that log into a fresh
+  // engine, require the bytes of the uninterrupted run.
+  std::vector<std::string> boundary_logs;
   std::string golden;
   {
     parallel::setMaxThreads(1);
     auto problem = fixtureProblem();
     bo::MfboEngine engine(problem, cfg.seed, fixtureOptions(2));
+    std::string log = engine.logHeader();
+    std::size_t persisted = 0;
     while (!engine.done()) {
-      boundary_checkpoints.push_back(engine.checkpoint());
+      boundary_logs.push_back(log);
       engine.step();
+      if (engine.done()) break;
+      log += engine.logRecord(persisted);
+      persisted = engine.evaluations();
     }
     golden = resultBytes(engine.takeResult());
     parallel::setMaxThreads(0);
   }
-  const Json& mid = boundary_checkpoints[boundary_checkpoints.size() / 2];
+  const std::string& mid = boundary_logs[boundary_logs.size() / 2];
   std::string resumed;
   {
     parallel::setMaxThreads(1);
     auto problem = fixtureProblem();
-    bo::MfboEngine engine(problem, 0, fixtureOptions(2));
-    engine.restore(Json::parse(mid.dump()));  // through bytes, as on disk
+    bo::MfboEngine engine(problem, cfg.seed, fixtureOptions(2));
+    engine.replay(mid);
     resumed = resultBytes(engine.run());
     parallel::setMaxThreads(0);
   }
   const bool resume_identical = resumed == golden;
   all_identical = all_identical && resume_identical;
   std::printf("%-22s %10s  (%zu boundaries)\n", "resume identical",
-              resume_identical ? "yes" : "NO", boundary_checkpoints.size());
+              resume_identical ? "yes" : "NO", boundary_logs.size());
 
   if (!dump_path.empty()) {
     Json fixture = Json::object();
     fixture.set("format", "mfbo-engine-resume-fixture");
-    fixture.set("version", 1);
-    fixture.set("checkpoint", mid);
+    fixture.set("version", 2);
+    fixture.set("log", mid);
     fixture.set("result", Json::parse(golden));
     std::FILE* f = std::fopen(dump_path.c_str(), "w");
     if (f == nullptr) {
@@ -190,7 +197,7 @@ int main(int argc, char** argv) {
   Json doc = bench::artifactHeader(cfg, "micro_batch", 1);
   doc.set("threads", threads);
   doc.set("batch", std::move(batches));
-  doc.set("n_boundaries", boundary_checkpoints.size());
+  doc.set("n_boundaries", boundary_logs.size());
   doc.set("resume_identical", resume_identical);
   doc.set("identical", all_identical);
   bench::writeArtifactFile(cfg, std::move(doc));

@@ -9,7 +9,10 @@
 //                            when DIR already holds persisted state from a
 //                            killed run, recover it and require the
 //                            completed results to be byte-identical to an
-//                            uninterrupted in-process reference.
+//                            uninterrupted in-process reference. Prints and
+//                            records restore_wall_seconds: the wall time of
+//                            the recovering create() calls, which replay
+//                            each session's run log.
 //   --kill-after-rounds K    (with --checkpoint-dir) run the recovery
 //                            workload for K scheduler rounds, then exit
 //                            mid-run without any shutdown path — the
@@ -226,6 +229,7 @@ int main(int argc, char** argv) {
   // the fleet simply runs to completion and the identity check still
   // applies, via the resume-stable result documents.
   bool recovery_identical = true;
+  double restore_seconds = 0.0;
   if (!checkpoint_dir.empty()) {
     // The recovering fleet runs in black-box mode too. Dump files are
     // pid-keyed, so the killed run's window stays on disk next to the
@@ -252,10 +256,14 @@ int main(int argc, char** argv) {
     options.checkpoint_dir = checkpoint_dir;
     service::SessionManager manager(options);
     std::size_t in_flight = 0;
+    const auto restore_start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < kRecoverySessions; ++i) {
       const service::Session& session = manager.create(fleetSpec(cfg, i));
       if (session.steps() > 0 || session.done()) ++in_flight;
     }
+    const std::chrono::duration<double> restore_elapsed =
+        std::chrono::steady_clock::now() - restore_start;
+    restore_seconds = restore_elapsed.count();
     manager.runAll();
     const std::vector<std::string> ids = manager.ids();
     for (std::size_t i = 0; i < ids.size(); ++i)
@@ -266,6 +274,7 @@ int main(int argc, char** argv) {
     std::printf("recovery: %zu/%zu sessions resumed, identical %s\n",
                 in_flight, kRecoverySessions,
                 recovery_identical ? "yes" : "NO");
+    std::printf("restore_wall_seconds %.6f\n", restore_seconds);
   }
 
   Json doc = bench::artifactHeader(cfg, "micro_sessions", 1);
@@ -274,6 +283,8 @@ int main(int argc, char** argv) {
   doc.set("sessions", std::move(rows));
   doc.set("identical", all_identical);
   doc.set("recovery_identical", recovery_identical);
+  if (!checkpoint_dir.empty())
+    doc.set("restore_wall_seconds", cfg.timing ? restore_seconds : 0.0);
   bench::writeArtifactFile(cfg, std::move(doc));
 
   if (!all_identical || !recovery_identical) {

@@ -123,14 +123,6 @@ class CostTracker {
   double cost() const { return cost_; }
   std::size_t numLow() const { return n_low_; }
   std::size_t numHigh() const { return n_high_; }
-  /// Reinstate a checkpointed meter state (Engine::restore).
-  void restore(double cost, std::size_t n_low, std::size_t n_high) {
-    MFBO_CHECK(cost >= 0.0, "checkpoint cost must be non-negative, got ",
-               cost);
-    cost_ = cost;
-    n_low_ = n_low;
-    n_high_ = n_high;
-  }
 
  private:
   double ratio_;

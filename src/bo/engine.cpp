@@ -1,8 +1,9 @@
 #include "bo/engine.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -11,207 +12,121 @@
 #include "common/eventlog.h"
 #include "common/parallel.h"
 #include "common/spans.h"
+#include "common/telemetry.h"
 
 namespace mfbo::bo {
 
 namespace {
 
-constexpr const char* kCheckpointFormat = "mfbo-engine-checkpoint";
-constexpr int kCheckpointVersion = 1;
+constexpr const char* kLogFormat = "mfbo-run-log";
+constexpr int kLogVersion = 1;
 
-/// Number field that serializes NaN (field not applicable) as null.
-Json numberOrNull(double v) {
-  return std::isfinite(v) ? Json::number(v) : Json::null();
-}
-
-/// Exact-set key validation: unknown keys are as much a corruption signal
-/// as missing ones (a renamed field would otherwise be silently ignored and
-/// its old default silently used).
-void checkKeys(const Json& obj, std::initializer_list<const char*> keys,
-               const char* context) {
-  MFBO_CHECK(obj.isObject(), context, " must be a JSON object");
-  for (const auto& [key, value] : obj.members()) {
-    bool known = false;
-    for (const char* k : keys) {
-      if (key == k) {
-        known = true;
-        break;
-      }
-    }
-    MFBO_CHECK(known, context, " has unrecognized key '", key, "'");
+/// 64-bit FNV-1a of @p bytes as the 16 lowercase hex digits that seal a
+/// run-log line.
+std::string checksumHex(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
   }
-  for (const char* k : keys)
-    MFBO_CHECK(obj.contains(k), context, " is missing key '", k, "'");
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
 }
 
-const std::string& stringField(const Json& obj, const char* key) {
-  const Json& v = obj.at(key);
-  MFBO_CHECK(v.isString(), "checkpoint field '", key, "' must be a string");
-  return v.asString();
+/// Finite number; a JSON null means the writer held a non-finite value.
+double finiteValue(const Json& v, const char* what) {
+  MFBO_CHECK(v.isNumber() && std::isfinite(v.asNumber()), what,
+             " must be a finite number");
+  return v.asNumber();
 }
 
-bool boolField(const Json& obj, const char* key) {
-  const Json& v = obj.at(key);
-  MFBO_CHECK(v.isBool(), "checkpoint field '", key, "' must be a boolean");
-  return v.asBool();
-}
-
-/// Finite number (a JSON null here means the original value was non-finite
-/// — exactly the corruption the NaN-payload battery feeds in).
-double finiteValue(const Json& v, const char* context) {
-  MFBO_CHECK(v.isNumber(), context, " must be a finite number");
-  const double x = v.asNumber();
-  MFBO_CHECK(std::isfinite(x), context, " must be finite, got ", x);
-  return x;
-}
-
-double finiteNumber(const Json& obj, const char* key) {
-  return finiteValue(obj.at(key), key);
-}
-
-std::size_t sizeValue(const Json& v, const char* context) {
-  const double x = finiteValue(v, context);
-  MFBO_CHECK(x >= 0.0 && x == std::floor(x), context,
-             " must be a non-negative integer, got ", x);
+/// Non-negative integral count, range-checked *before* the conversion:
+/// converting a double at or above 2^64 to std::size_t is undefined
+/// behaviour, not a large count.
+std::size_t countValue(const Json& v, const char* what) {
+  const double x = finiteValue(v, what);
+  MFBO_CHECK(x >= 0.0 && x < 0x1p53 && x == std::floor(x), what,
+             " must be a non-negative integer below 2^53, got ", x);
   return static_cast<std::size_t>(x);
 }
 
-std::size_t sizeField(const Json& obj, const char* key) {
-  return sizeValue(obj.at(key), key);
-}
-
-/// null → NaN (field not applicable); otherwise a finite number.
-double nanOrNumber(const Json& obj, const char* key) {
-  const Json& v = obj.at(key);
-  if (v.isNull()) return IterationRecord::kNan;
-  return finiteValue(v, key);
+std::vector<double> finiteArray(const Json& v, std::size_t n,
+                                const char* what) {
+  MFBO_CHECK(v.isArray() && v.size() == n, what, " must be an array of ", n,
+             " numbers");
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = finiteValue(v.at(i), what);
+  return out;
 }
 
 Fidelity fidelityFromName(const Json& v) {
-  MFBO_CHECK(v.isString(), "fidelity must be a string");
-  const std::string& name = v.asString();
-  if (name == "high") return Fidelity::kHigh;
-  if (name == "low") return Fidelity::kLow;
-  MFBO_CHECK(false, "unknown fidelity '", name, "'");
-  return Fidelity::kHigh;  // unreachable
+  MFBO_CHECK(v.isString() && (v.asString() == "high" || v.asString() == "low"),
+             "fidelity must be \"high\" or \"low\"");
+  return v.asString() == "high" ? Fidelity::kHigh : Fidelity::kLow;
 }
 
-/// Array of @p n finite doubles.
-std::vector<double> finiteArray(const Json& v, std::size_t n,
-                                const char* context) {
-  MFBO_CHECK(v.isArray(), context, " must be an array");
-  MFBO_CHECK(v.size() == n, context, " has ", v.size(), " elements, expected ",
-             n);
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = finiteValue(v.at(i), context);
-  return out;
+/// One evaluation as the run log carries it.
+struct LoggedEvaluation {
+  Fidelity fidelity = Fidelity::kHigh;
+  Vector u;  ///< unit-cube input
+  Evaluation eval;
+};
+
+/// One run-log line after its checksum and field checks.
+struct LogRecord {
+  std::size_t steps = 0;
+  std::vector<LoggedEvaluation> evaluations;
+};
+
+/// Parse record @p index: "<payload> <checksum>", the payload being
+/// {"steps":N,"evals":[{"fidelity","u","objective","constraints"}...]}.
+LogRecord parseRecord(std::string_view line, std::size_t index, std::size_t d,
+                      std::size_t nc) {
+  const std::size_t space = line.rfind(' ');
+  MFBO_CHECK(space != std::string_view::npos && line.size() - space == 17,
+             "run log record ", index, " has no checksum");
+  const std::string_view payload = line.substr(0, space);
+  MFBO_CHECK(line.substr(space + 1) == checksumHex(payload),
+             "run log record ", index, " fails its checksum");
+  const Json doc = Json::parse(std::string(payload));
+  MFBO_CHECK(doc.isObject() && doc.size() == 2, "run log record ", index,
+             " must hold exactly 'steps' and 'evals'");
+  LogRecord rec;
+  rec.steps = countValue(doc.at("steps"), "record steps");
+  const Json& evals = doc.at("evals");
+  MFBO_CHECK(evals.isArray(), "run log record ", index,
+             " 'evals' must be an array");
+  for (const Json& e : evals.items()) {
+    MFBO_CHECK(e.isObject() && e.size() == 4, "run log record ", index,
+               " evaluation must hold exactly fidelity, u, objective and "
+               "constraints");
+    LoggedEvaluation logged;
+    logged.fidelity = fidelityFromName(e.at("fidelity"));
+    logged.u = Vector(finiteArray(e.at("u"), d, "evaluation u"));
+    logged.eval.objective = finiteValue(e.at("objective"), "objective");
+    logged.eval.constraints =
+        finiteArray(e.at("constraints"), nc, "constraints");
+    rec.evaluations.push_back(std::move(logged));
+  }
+  return rec;
 }
 
-/// Vector in the unit cube (the coordinate system the archives store).
-Vector unitVector(const Json& v, std::size_t d, const char* context) {
-  Vector out(finiteArray(v, d, context));
-  for (std::size_t i = 0; i < d; ++i)
-    MFBO_CHECK(out[i] >= 0.0 && out[i] <= 1.0, context, " coordinate ", i,
-               " outside the unit cube: ", out[i]);
-  return out;
+bool sameBits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// null → empty vector; otherwise @p d finite coordinates.
-Vector vectorOrEmpty(const Json& v, std::size_t d, const char* context) {
-  if (v.isNull()) return Vector();
-  return Vector(finiteArray(v, d, context));
-}
-
-/// The construction seed is a full uint64 and cannot survive a JSON double
-/// round-trip, so it travels as a decimal string.
-std::uint64_t parseSeed(const Json& v) {
-  MFBO_CHECK(v.isString(), "checkpoint seed must be a decimal string");
-  const std::string& s = v.asString();
-  MFBO_CHECK(!s.empty() && s.size() <= 20 &&
-                 s.find_first_not_of("0123456789") == std::string::npos,
-             "malformed checkpoint seed '", s, "'");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(s.c_str(), &end, 10);
-  MFBO_CHECK(errno == 0 && end == s.c_str() + s.size(),
-             "checkpoint seed out of range: '", s, "'");
-  return static_cast<std::uint64_t>(parsed);
-}
-
-void matchNumber(const Json& obj, const char* key, double expected) {
-  const double got = finiteNumber(obj, key);
-  MFBO_CHECK(got == expected, "checkpoint option '", key, "' is ", got,
-             " but the engine was configured with ", expected);
-}
-
-void matchSize(const Json& obj, const char* key, std::size_t expected) {
-  const std::size_t got = sizeField(obj, key);
-  MFBO_CHECK(got == expected, "checkpoint option '", key, "' is ", got,
-             " but the engine was configured with ", expected);
-}
-
-void matchBool(const Json& obj, const char* key, bool expected) {
-  const bool got = boolField(obj, key);
-  MFBO_CHECK(got == expected, "checkpoint option '", key, "' is ", got,
-             " but the engine was configured with ", expected);
-}
-
-Json slotToJson(const ProposedSlot& s) {
-  Json j = Json::object();
-  j.set("iteration", s.iteration);
-  j.set("x", Json::numberArray(s.x));
-  j.set("x_star_l",
-        s.x_star_l.empty() ? Json::null() : Json::numberArray(s.x_star_l));
-  j.set("x_t_raw",
-        s.x_t_raw.empty() ? Json::null() : Json::numberArray(s.x_t_raw));
-  j.set("fidelity", fidelityName(s.fidelity));
-  j.set("downgraded", s.downgraded);
-  j.set("deduped", s.deduped);
-  j.set("first_feasible_phase", s.first_feasible_phase);
-  j.set("on_fantasy", s.on_fantasy);
-  j.set("tau_l", numberOrNull(s.tau_l));
-  j.set("tau_h", numberOrNull(s.tau_h));
-  j.set("acquisition", numberOrNull(s.acquisition));
-  j.set("max_norm_var", numberOrNull(s.max_norm_var));
-  j.set("threshold", numberOrNull(s.threshold));
-  j.set("norm_low_var", s.norm_low_var.empty()
-                            ? Json::null()
-                            : Json::numberArray(s.norm_low_var));
-  j.set("evaluated", s.evaluated);
-  j.set("history_index", s.history_index);
-  j.set("dataset_index", s.dataset_index);
-  return j;
-}
-
-ProposedSlot slotFromJson(const Json& j, std::size_t d, std::size_t n_out) {
-  checkKeys(j,
-            {"iteration", "x", "x_star_l", "x_t_raw", "fidelity", "downgraded",
-             "deduped", "first_feasible_phase", "on_fantasy", "tau_l", "tau_h",
-             "acquisition", "max_norm_var", "threshold", "norm_low_var",
-             "evaluated", "history_index", "dataset_index"},
-            "pending slot");
-  ProposedSlot s;
-  s.iteration = sizeField(j, "iteration");
-  MFBO_CHECK(s.iteration >= 1, "pending slot iteration must be >= 1");
-  s.x = unitVector(j.at("x"), d, "slot x");
-  s.x_star_l = vectorOrEmpty(j.at("x_star_l"), d, "slot x_star_l");
-  s.x_t_raw = vectorOrEmpty(j.at("x_t_raw"), d, "slot x_t_raw");
-  s.fidelity = fidelityFromName(j.at("fidelity"));
-  s.downgraded = boolField(j, "downgraded");
-  s.deduped = boolField(j, "deduped");
-  s.first_feasible_phase = boolField(j, "first_feasible_phase");
-  s.on_fantasy = boolField(j, "on_fantasy");
-  s.tau_l = nanOrNumber(j, "tau_l");
-  s.tau_h = nanOrNumber(j, "tau_h");
-  s.acquisition = nanOrNumber(j, "acquisition");
-  s.max_norm_var = nanOrNumber(j, "max_norm_var");
-  s.threshold = nanOrNumber(j, "threshold");
-  if (!j.at("norm_low_var").isNull())
-    s.norm_low_var = finiteArray(j.at("norm_low_var"), n_out, "norm_low_var");
-  s.evaluated = boolField(j, "evaluated");
-  s.history_index = sizeField(j, "history_index");
-  s.dataset_index = sizeField(j, "dataset_index");
-  return s;
+Json mspJson(const MspOptions& msp) {
+  Json m = Json::object();
+  m.set("n_starts", msp.n_starts);
+  m.set("frac_tau_l", msp.frac_tau_l);
+  m.set("frac_tau_h", msp.frac_tau_h);
+  m.set("relative_sd", msp.relative_sd);
+  m.set("local_max_evaluations", msp.local.max_evaluations);
+  m.set("local_initial_step", msp.local.initial_step);
+  return m;
 }
 
 /// bestHighIndex over the first @p count history entries: what the best-so-
@@ -244,30 +159,6 @@ std::optional<std::size_t> bestHighUpTo(
   return best;
 }
 
-/// Exact comparison of a checkpoint's hyperparameter stamp against the
-/// replayed models. Any difference means the replay did not reproduce the
-/// original training trajectory — wrong data, wrong schedule, or a
-/// nondeterministic trainer — and the resumed run would silently diverge.
-void checkStampAgainst(const Json& stamp,
-                       const std::vector<std::vector<double>>& hypers) {
-  MFBO_CHECK(stamp.isArray(), "surrogate stamp must be an array of arrays");
-  MFBO_CHECK(stamp.size() == hypers.size(), "surrogate stamp holds ",
-             stamp.size(), " models, the engine has ", hypers.size());
-  for (std::size_t i = 0; i < hypers.size(); ++i) {
-    const Json& row = stamp.at(i);
-    MFBO_CHECK(row.isArray() && row.size() == hypers[i].size(),
-               "surrogate stamp for model ", i, " has the wrong shape");
-    for (std::size_t k = 0; k < hypers[i].size(); ++k) {
-      const double expected = finiteValue(row.at(k), "surrogate stamp");
-      MFBO_CHECK(expected == hypers[i][k],
-                 "replayed hyperparameter drifted from the checkpoint stamp: "
-                 "model ",
-                 i, " param ", k, " is ", hypers[i][k], ", stamp says ",
-                 expected);
-    }
-  }
-}
-
 }  // namespace
 
 const char* engineStateName(EngineState s) {
@@ -286,17 +177,6 @@ const char* engineStateName(EngineState s) {
       return "done";
   }
   return "unknown";
-}
-
-EngineState engineStateFromName(std::string_view name) {
-  for (EngineState s :
-       {EngineState::kInit, EngineState::kFitSurrogate, EngineState::kPropose,
-        EngineState::kAwaitResults, EngineState::kObserve,
-        EngineState::kDone}) {
-    if (name == engineStateName(s)) return s;
-  }
-  MFBO_CHECK(false, "unknown engine state '", std::string(name), "'");
-  return EngineState::kInit;  // unreachable
 }
 
 Json synthesisResultToJson(const SynthesisResult& result) {
@@ -346,10 +226,6 @@ void Engine::transition(EngineState next) {
   eventlog::record(eventlog::EventKind::kEngineTransition,
                    engineStateName(state_), engineStateName(next),
                    static_cast<std::int64_t>(iteration_));
-  if (restoring_) {
-    state_ = next;
-    return;
-  }
   bool legal = false;
   switch (state_) {
     case EngineState::kInit:
@@ -378,6 +254,7 @@ void Engine::transition(EngineState next) {
 
 void Engine::step() {
   MFBO_CHECK(state_ != EngineState::kDone, "step() on a completed engine");
+  MFBO_CHECK(!rejected_, "step() on an engine whose run log was rejected");
   switch (state_) {
     case EngineState::kInit:
       handleInit();
@@ -397,6 +274,7 @@ void Engine::step() {
     case EngineState::kDone:
       break;
   }
+  ++steps_;
 }
 
 SynthesisResult Engine::runToCompletion() {
@@ -425,7 +303,8 @@ std::size_t Engine::recordEvaluation(const Vector& u, Fidelity f,
 }
 
 std::size_t Engine::evaluateRaw(const Vector& u, Fidelity f) {
-  return recordEvaluation(u, f, simulate(u, f));
+  return recordEvaluation(u, f,
+                          replaying() ? serveLogged(u, f) : simulate(u, f));
 }
 
 void Engine::handleAwaitResults() {
@@ -437,20 +316,22 @@ void Engine::handleAwaitResults() {
   // any thread count. This is also the engine's cooperative-yield point
   // for the session layer: a q-slot batch occupies the pool for one region
   // and then returns to the scheduler.
-  std::vector<ProposedSlot*> todo;
-  for (ProposedSlot& slot : pending_)
-    if (!slot.evaluated) todo.push_back(&slot);
-  std::vector<Evaluation> evals(todo.size());
-  parallel::parallelFor(todo.size(), [&](std::size_t i) {
-    evals[i] = simulate(todo[i]->x, todo[i]->fidelity);
-  });
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    ProposedSlot& slot = *todo[i];
+  std::vector<Evaluation> evals(pending_.size());
+  if (replaying()) {
+    // The log holds the batch in slot order, the order it was recorded in.
+    for (std::size_t i = 0; i < pending_.size(); ++i)
+      evals[i] = serveLogged(pending_[i].x, pending_[i].fidelity);
+  } else {
+    parallel::parallelFor(pending_.size(), [&](std::size_t i) {
+      evals[i] = simulate(pending_[i].x, pending_[i].fidelity);
+    });
+  }
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    ProposedSlot& slot = pending_[i];
     slot.history_index =
         recordEvaluation(slot.x, slot.fidelity, std::move(evals[i]));
     slot.dataset_index =
         (slot.fidelity == Fidelity::kHigh ? high_ : low_).size() - 1;
-    slot.evaluated = true;
   }
   transition(EngineState::kObserve);
 }
@@ -485,17 +366,13 @@ void Engine::handleObserve() {
       rec.best_objective = history_[*best].eval.objective;
       rec.feasible_found = history_[*best].eval.feasible();
     }
-    publishIteration(rec, observer);
+    if (!replaying()) publishIteration(rec, observer);
   }
   transition(EngineState::kFitSurrogate);
 }
 
 void Engine::finishFit() {
-  if (!pending_.empty()) {
-    batches_.push_back(pending_.size());
-    pending_.clear();
-  }
-  iter_timer_.reset();
+  pending_.clear();
   if (tracker_.cost() + minStepCost() <= budget() + 1e-9) {
     transition(EngineState::kPropose);
   } else {
@@ -505,7 +382,7 @@ void Engine::finishFit() {
 
 void Engine::finish() {
   result_ = finalizeResult(std::move(history_), tracker_);
-  traceRunEnd(algoName(), result_);
+  if (!replaying()) traceRunEnd(algoName(), result_);
   transition(EngineState::kDone);
 }
 
@@ -521,257 +398,117 @@ std::vector<double> Engine::columnOf(const Dataset& ds, std::size_t out) {
   return out == 0 ? ds.objectives() : ds.constraintColumn(out - 1);
 }
 
-Json Engine::checkpoint() const {
-  MFBO_CHECK(!done(), "checkpoint() on a completed engine");
-  Json c = Json::object();
-  c.set("format", kCheckpointFormat);
-  c.set("version", kCheckpointVersion);
-  c.set("algo", algoName());
-  c.set("state", engineStateName(state_));
+std::string Engine::logHeader() const {
+  Json header = Json::object();
+  header.set("format", kLogFormat);
+  header.set("version", kLogVersion);
+  header.set("algo", algoName());
+  // A full uint64 does not survive a JSON double, hence a decimal string.
+  header.set("seed", std::to_string(seed_));
   Json prob = Json::object();
   prob.set("name", problem_->name());
   prob.set("dim", d_);
   prob.set("num_constraints", nc_);
   prob.set("cost_ratio", ratio_);
-  c.set("problem", std::move(prob));
-  c.set("seed", std::to_string(seed_));
-  c.set("rng", rng_.saveState());
-  c.set("iteration", iteration_);
-  c.set("cost", tracker_.cost());
-  c.set("n_low", tracker_.numLow());
-  c.set("n_high", tracker_.numHigh());
-  c.set("models_fitted", models_fitted_);
-  Json batches = Json::array();
-  for (std::size_t b : batches_)
-    batches.push(Json::number(static_cast<double>(b)));
-  c.set("batches", std::move(batches));
-  // History rows carry the *unit-cube* inputs (the archives' coordinate
-  // system); the real coordinates are rederived through the same
-  // Box::fromUnit arithmetic on restore, so storing both would only add a
-  // redundancy that could disagree.
-  Json hist = Json::array();
-  std::size_t low_cursor = 0;
-  std::size_t high_cursor = 0;
-  for (const HistoryEntry& h : history_) {
+  header.set("problem", std::move(prob));
+  header.set("options", optionsJson());
+  return header.dump() + '\n';
+}
+
+std::string Engine::logRecord(std::size_t first_evaluation) const {
+  MFBO_CHECK(!done(), "logRecord() on a completed engine");
+  MFBO_CHECK(first_evaluation <= history_.size(), "first evaluation ",
+             first_evaluation, " beyond the ", history_.size(),
+             " recorded");
+  // The rows since first_evaluation are the tails of their archives, which
+  // hold the unit-cube inputs the proposals were made in.
+  std::size_t low_row = low_.size();
+  std::size_t high_row = high_.size();
+  for (std::size_t i = first_evaluation; i < history_.size(); ++i)
+    --(history_[i].fidelity == Fidelity::kHigh ? high_row : low_row);
+  Json evals = Json::array();
+  for (std::size_t i = first_evaluation; i < history_.size(); ++i) {
+    const HistoryEntry& h = history_[i];
     const bool hi = h.fidelity == Fidelity::kHigh;
-    std::size_t& cursor = hi ? high_cursor : low_cursor;
     Json e = Json::object();
     e.set("fidelity", fidelityName(h.fidelity));
-    e.set("u", Json::numberArray((hi ? high_ : low_).x[cursor]));
-    ++cursor;
+    e.set("u", Json::numberArray((hi ? high_ : low_).x[hi ? high_row++
+                                                          : low_row++]));
     e.set("objective", h.eval.objective);
     e.set("constraints", Json::numberArray(h.eval.constraints));
-    e.set("cost", h.cumulative_cost);
-    hist.push(std::move(e));
+    evals.push(std::move(e));
   }
-  c.set("history", std::move(hist));
-  Json pend = Json::array();
-  for (const ProposedSlot& s : pending_) pend.push(slotToJson(s));
-  c.set("pending", std::move(pend));
-  c.set("policy", policyJson());
-  return c;
+  Json record = Json::object();
+  record.set("steps", steps_);
+  record.set("evals", std::move(evals));
+  const std::string payload = record.dump();
+  return payload + ' ' + checksumHex(payload) + '\n';
 }
 
-void Engine::restoreHistory(const Json& ckpt) {
-  const Json& hist = ckpt.at("history");
-  MFBO_CHECK(hist.isArray(), "checkpoint history must be an array");
-  double running = 0.0;
-  std::size_t n_low = 0;
-  std::size_t n_high = 0;
-  for (std::size_t k = 0; k < hist.size(); ++k) {
-    const Json& e = hist.at(k);
-    checkKeys(e, {"fidelity", "u", "objective", "constraints", "cost"},
-              "history entry");
-    const Fidelity f = fidelityFromName(e.at("fidelity"));
-    const Vector u = unitVector(e.at("u"), d_, "history entry u");
-    Evaluation eval;
-    eval.objective = finiteNumber(e, "objective");
-    eval.constraints = finiteArray(e.at("constraints"), nc_, "constraints");
-    // The meter is replayed with the same additions the original run made,
-    // so each archived cumulative cost must match bit-for-bit.
-    running += f == Fidelity::kHigh ? 1.0 : 1.0 / ratio_;
-    const double cost = finiteNumber(e, "cost");
-    MFBO_CHECK(cost == running, "history entry ", k, " cost ", cost,
-               " does not match the recomputed meter ", running);
-    (f == Fidelity::kHigh ? n_high : n_low) += 1;
-    (f == Fidelity::kHigh ? high_ : low_).add(u, eval);
-    history_.push_back({real_box_.fromUnit(u), std::move(eval), f, cost});
-  }
-  MFBO_CHECK(finiteNumber(ckpt, "cost") == running,
-             "checkpoint cost does not match the archived history");
-  MFBO_CHECK(sizeField(ckpt, "n_low") == n_low,
-             "checkpoint n_low does not match the archived history");
-  MFBO_CHECK(sizeField(ckpt, "n_high") == n_high,
-             "checkpoint n_high does not match the archived history");
-  tracker_.restore(running, n_low, n_high);
-}
+struct Engine::ReplayFeed {
+  std::vector<LoggedEvaluation> evaluations;
+  std::size_t next = 0;  ///< first evaluation not yet served
+};
 
-void Engine::restorePending(const Json& ckpt, EngineState target) {
-  const Json& pend = ckpt.at("pending");
-  MFBO_CHECK(pend.isArray(), "checkpoint pending must be an array");
-  std::size_t base_iterations = 0;
-  for (std::size_t b : batches_) base_iterations += b;
-  std::size_t evaluated = 0;
-  for (std::size_t s = 0; s < pend.size(); ++s) {
-    ProposedSlot slot = slotFromJson(pend.at(s), d_, n_out_);
-    MFBO_CHECK(slot.iteration == base_iterations + s + 1, "pending slot ", s,
-               " iteration ", slot.iteration, " out of sequence");
-    MFBO_CHECK(slot.on_fantasy == (s > 0), "pending slot ", s,
-               " fantasy flag inconsistent with its batch position");
-    if (slot.evaluated) ++evaluated;
-    pending_.push_back(std::move(slot));
-  }
-  MFBO_CHECK(
-      evaluated == 0 || evaluated == pending_.size(),
-      "pending batch partially evaluated; checkpoints are state boundaries");
-  if (target == EngineState::kAwaitResults)
-    MFBO_CHECK(evaluated == 0,
-               "state 'await_results' admits no evaluated slots");
-  if (target == EngineState::kObserve ||
-      (target == EngineState::kFitSurrogate && !pending_.empty()))
-    MFBO_CHECK(evaluated == pending_.size(), "state '",
-               engineStateName(target), "' requires a fully evaluated batch");
-  if (evaluated > 0) {
-    // Evaluated slots are the tail of the history and of their archives;
-    // pin every index and require the archived input to match the proposal
-    // bit-for-bit.
-    MFBO_CHECK(history_.size() >= pending_.size(),
-               "pending batch larger than the archived history");
-    std::size_t n_low_slots = 0;
-    std::size_t n_high_slots = 0;
-    for (const ProposedSlot& s : pending_)
-      (s.fidelity == Fidelity::kHigh ? n_high_slots : n_low_slots) += 1;
-    MFBO_CHECK(low_.size() >= n_low_slots && high_.size() >= n_high_slots,
-               "pending batch larger than the archived datasets");
-    const std::size_t first_history = history_.size() - pending_.size();
-    std::size_t low_cursor = low_.size() - n_low_slots;
-    std::size_t high_cursor = high_.size() - n_high_slots;
-    for (std::size_t s = 0; s < pending_.size(); ++s) {
-      const ProposedSlot& slot = pending_[s];
-      MFBO_CHECK(slot.history_index == first_history + s, "pending slot ", s,
-                 " history index ", slot.history_index, " out of place");
-      MFBO_CHECK(history_[slot.history_index].fidelity == slot.fidelity,
-                 "pending slot ", s, " fidelity disagrees with its history");
-      const bool hi = slot.fidelity == Fidelity::kHigh;
-      std::size_t& cursor = hi ? high_cursor : low_cursor;
-      MFBO_CHECK(slot.dataset_index == cursor, "pending slot ", s,
-                 " dataset index ", slot.dataset_index, " out of place");
-      MFBO_CHECK((hi ? high_ : low_).x[slot.dataset_index].raw() ==
-                     slot.x.raw(),
-                 "pending slot ", s, " x does not match its archive row");
-      ++cursor;
+std::size_t Engine::replay(std::string_view log) {
+  MFBO_CHECK(steps_ == 0 && !rejected_,
+             "replay() requires a freshly constructed engine");
+  const std::size_t last_newline = log.rfind('\n');
+  if (last_newline == std::string_view::npos) return 0;
+  const std::size_t whole = last_newline + 1;
+  ReplayFeed feed;
+  replay_ = &feed;
+  try {
+    const std::string header = logHeader();
+    MFBO_CHECK(log.substr(0, header.size()) == header,
+               "run log header does not match this engine: format, "
+               "version, algo, seed, problem or options differ");
+    // Every line is checked before the first step, so a damaged log is
+    // rejected without re-running any of it.
+    std::vector<LogRecord> records;
+    for (std::size_t pos = header.size(); pos < whole;) {
+      const std::size_t end = log.find('\n', pos);
+      records.push_back(
+          parseRecord(log.substr(pos, end - pos), records.size() + 1, d_, nc_));
+      pos = end + 1;
     }
-  } else {
-    for (const ProposedSlot& slot : pending_)
-      MFBO_CHECK(slot.history_index == 0 && slot.dataset_index == 0,
-                 "unevaluated pending slot carries archive indices");
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      LogRecord& record = records[k];
+      MFBO_CHECK(record.steps >= steps_, "run log record ", k + 1,
+                 " goes back from step ", steps_, " to ", record.steps);
+      for (LoggedEvaluation& e : record.evaluations)
+        feed.evaluations.push_back(std::move(e));
+      while (steps_ < record.steps) {
+        MFBO_CHECK(!done(), "run log record ", k + 1, " claims step ",
+                   record.steps, " but the run completes at step ", steps_);
+        step();
+      }
+      MFBO_CHECK(feed.next == feed.evaluations.size(), "run log record ",
+                 k + 1, " holds evaluations its steps never asked for");
+    }
+    MFBO_CHECK(!done(),
+               "run log replays a completed run; completion persists a "
+               "result document instead");
+  } catch (...) {
+    replay_ = nullptr;
+    rejected_ = true;
+    throw;
   }
+  replay_ = nullptr;
+  return whole;
 }
 
-void Engine::restore(const Json& ckpt) {
-  MFBO_CHECK(state_ == EngineState::kInit && history_.empty() &&
-                 pending_.empty() && batches_.empty() && iteration_ == 0 &&
-                 !models_fitted_,
-             "restore() requires a freshly constructed engine");
-  checkKeys(ckpt,
-            {"format", "version", "algo", "state", "problem", "seed", "rng",
-             "iteration", "cost", "n_low", "n_high", "models_fitted",
-             "batches", "history", "pending", "policy"},
-            "checkpoint");
-  MFBO_CHECK(stringField(ckpt, "format") == kCheckpointFormat,
-             "not an engine checkpoint: format '", stringField(ckpt, "format"),
-             "'");
-  const double version = finiteNumber(ckpt, "version");
-  MFBO_CHECK(version == kCheckpointVersion, "unsupported checkpoint version ",
-             version, " (this build reads version ", kCheckpointVersion, ")");
-  MFBO_CHECK(stringField(ckpt, "algo") == algoName(), "checkpoint algo '",
-             stringField(ckpt, "algo"), "' does not match this engine ('",
-             algoName(), "')");
-
-  const Json& prob = ckpt.at("problem");
-  checkKeys(prob, {"name", "dim", "num_constraints", "cost_ratio"},
-            "checkpoint problem");
-  MFBO_CHECK(stringField(prob, "name") == problem_->name(),
-             "checkpoint problem '", stringField(prob, "name"),
-             "' does not match '", problem_->name(), "'");
-  MFBO_CHECK(sizeField(prob, "dim") == d_,
-             "checkpoint problem dim does not match");
-  MFBO_CHECK(sizeField(prob, "num_constraints") == nc_,
-             "checkpoint constraint count does not match");
-  MFBO_CHECK(finiteNumber(prob, "cost_ratio") == ratio_,
-             "checkpoint cost ratio does not match");
-
-  const EngineState target = engineStateFromName(stringField(ckpt, "state"));
-  MFBO_CHECK(target != EngineState::kDone,
-             "cannot restore a completed run (checkpoints stop before Done)");
-
-  seed_ = parseSeed(ckpt.at("seed"));
-  iteration_ = sizeField(ckpt, "iteration");
-  models_fitted_ = boolField(ckpt, "models_fitted");
-
-  const Json& batches = ckpt.at("batches");
-  MFBO_CHECK(batches.isArray(), "checkpoint batches must be an array");
-  std::size_t batched_iterations = 0;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const std::size_t size = sizeValue(batches.at(b), "batch size");
-    MFBO_CHECK(size >= 1, "empty batch in the checkpoint batch table");
-    batches_.push_back(size);
-    batched_iterations += size;
-  }
-
-  restoreHistory(ckpt);
-  restorePending(ckpt, target);
-
-  MFBO_CHECK(iteration_ == batched_iterations + pending_.size(),
-             "iteration counter ", iteration_, " does not match ",
-             batched_iterations, " batched + ", pending_.size(), " pending");
-  const std::size_t evaluated_pending =
-      pending_.empty() || !pending_.front().evaluated ? 0 : pending_.size();
-  const std::size_t expected_history =
-      (target == EngineState::kInit ? 0 : initTotal()) + batched_iterations +
-      evaluated_pending;
-  MFBO_CHECK(history_.size() == expected_history, "history holds ",
-             history_.size(), " entries, the checkpoint state implies ",
-             expected_history);
-
-  switch (target) {
-    case EngineState::kInit:
-      MFBO_CHECK(pending_.empty() && batches_.empty() && iteration_ == 0 &&
-                     !models_fitted_,
-                 "state 'init' admits no progress");
-      break;
-    case EngineState::kFitSurrogate:
-      if (models_fitted_) {
-        MFBO_CHECK(!pending_.empty(),
-                   "a refit boundary requires the just-observed batch");
-      } else {
-        MFBO_CHECK(pending_.empty() && batches_.empty() && iteration_ == 0,
-                   "the initial-fit boundary admits no iterations");
-      }
-      break;
-    case EngineState::kPropose:
-      MFBO_CHECK(models_fitted_ && pending_.empty(),
-                 "state 'propose' requires fitted models and no pending batch");
-      break;
-    case EngineState::kAwaitResults:
-      MFBO_CHECK(models_fitted_ && !pending_.empty(),
-                 "state 'await_results' requires a proposed batch");
-      break;
-    case EngineState::kObserve:
-      MFBO_CHECK(models_fitted_ && !pending_.empty(),
-                 "state 'observe' requires an evaluated batch");
-      break;
-    case EngineState::kDone:
-      break;  // rejected above
-  }
-
-  restorePolicy(ckpt.at("policy"), target);
-  // The RNG is reinstated last: replaying the surrogate schedule must not
-  // touch the run stream (the models own their private generators).
-  rng_.restoreState(stringField(ckpt, "rng"));
-  restoring_ = true;
-  transition(target);
-  restoring_ = false;
+Evaluation Engine::serveLogged(const Vector& u, Fidelity f) {
+  ReplayFeed& feed = *replay_;
+  MFBO_CHECK(feed.next < feed.evaluations.size(),
+             "run log ends before evaluation ", feed.next,
+             " of its steps");
+  LoggedEvaluation& logged = feed.evaluations[feed.next];
+  MFBO_CHECK(logged.fidelity == f && sameBits(logged.u, u),
+             "run log evaluation ", feed.next,
+             " differs from the replayed proposal's fidelity or input");
+  ++feed.next;
+  return std::move(logged.eval);
 }
 
 MfboEngine::MfboEngine(Problem& problem, std::uint64_t seed,
@@ -788,7 +525,6 @@ MfboEngine::MfboEngine(Problem& problem, std::uint64_t seed,
   // at construction keeps them in the snapshots of zero-iteration runs too.
   telemetry::counter("bo.mfbo.iterations");
   telemetry::counter("bo.mfbo.budget_downgrades");
-  telemetry::timer("bo.mfbo.iteration_seconds");
 }
 
 SynthesisResult MfboEngine::run() {
@@ -865,7 +601,7 @@ void MfboEngine::applyLiar(const ProposedSlot& slot) {
 }
 
 void MfboEngine::handleInit() {
-  traceRunStart("mfbo", *problem_, seed_, options_.budget);
+  if (!replaying()) traceRunStart("mfbo", *problem_, seed_, options_.budget);
   // Step 1 of Algorithm 1: initial designs at both fidelities.
   for (const Vector& u :
        linalg::latinHypercube(options_.n_init_low, unit_, rng_))
@@ -902,8 +638,6 @@ void MfboEngine::handleFitSurrogate() {
 void MfboEngine::handlePropose() {
   telemetry::Counter& iterations_total =
       telemetry::counter("bo.mfbo.iterations");
-  telemetry::Timer& iteration_timer =
-      telemetry::timer("bo.mfbo.iteration_seconds");
   // Inputs proposed earlier in this batch; slot s dedupes against them so a
   // fantasy cannot re-propose (and singularize) an unevaluated sibling.
   Dataset pending_points;
@@ -912,7 +646,6 @@ void MfboEngine::handlePropose() {
     if (s > 0 && projected + minStepCost() > budget() + 1e-9) break;
     ++iteration_;
     iterations_total.add();
-    if (s == 0) iter_timer_.emplace(iteration_timer);
     if (s == 1) makeFantasies();
     if (s > 0) applyLiar(pending_.back());
     ProposedSlot slot = proposeSlot(s, projected, pending_points);
@@ -1093,8 +826,7 @@ double MfboEngine::observedAcquisition(const ProposedSlot& slot) {
              : weightedEi(p[0], slot.tau_h, {p.begin() + 1, p.end()});
 }
 
-Json MfboEngine::policyJson() const {
-  Json policy = Json::object();
+Json MfboEngine::optionsJson() const {
   Json o = Json::object();
   o.set("n_init_low", options_.n_init_low);
   o.set("n_init_high", options_.n_init_high);
@@ -1104,162 +836,18 @@ Json MfboEngine::policyJson() const {
   o.set("x_star_seeds", options_.x_star_seeds);
   o.set("use_first_feasible", options_.use_first_feasible);
   o.set("batch_size", options_.batch_size);
-  Json m = Json::object();
-  m.set("n_starts", options_.msp.n_starts);
-  m.set("frac_tau_l", options_.msp.frac_tau_l);
-  m.set("frac_tau_h", options_.msp.frac_tau_h);
-  m.set("relative_sd", options_.msp.relative_sd);
-  m.set("local_max_evaluations", options_.msp.local.max_evaluations);
-  m.set("local_initial_step", options_.msp.local.initial_step);
-  o.set("msp", std::move(m));
+  o.set("msp", mspJson(options_.msp));
   Json n = Json::object();
   n.set("n_mc", options_.nargp.n_mc);
   n.set("n_mc_var", options_.nargp.n_mc_var);
   n.set("n_restarts_low", options_.nargp.low.n_restarts);
   n.set("n_restarts_high", options_.nargp.high.n_restarts);
   o.set("nargp", std::move(n));
-  policy.set("options", std::move(o));
-  policy.set("custom_surrogate",
-             static_cast<bool>(options_.surrogate_factory));
-  Json stamp = Json::null();
-  if (models_fitted_) {
-    stamp = Json::array();
-    for (const auto& model : models_)
-      stamp.push(Json::numberArray(model->hyperparameters()));
-  }
-  policy.set("surrogates", std::move(stamp));
-  return policy;
-}
-
-void MfboEngine::restorePolicy(const Json& policy, EngineState target) {
-  checkKeys(policy, {"options", "custom_surrogate", "surrogates"},
-            "checkpoint policy");
-  const Json& o = policy.at("options");
-  checkKeys(o,
-            {"n_init_low", "n_init_high", "budget", "gamma", "retrain_every",
-             "x_star_seeds", "use_first_feasible", "batch_size", "msp",
-             "nargp"},
-            "policy options");
-  matchSize(o, "n_init_low", options_.n_init_low);
-  matchSize(o, "n_init_high", options_.n_init_high);
-  matchNumber(o, "budget", options_.budget);
-  matchNumber(o, "gamma", options_.gamma);
-  matchSize(o, "retrain_every", options_.retrain_every);
-  matchSize(o, "x_star_seeds", options_.x_star_seeds);
-  matchBool(o, "use_first_feasible", options_.use_first_feasible);
-  matchSize(o, "batch_size", options_.batch_size);
-  const Json& m = o.at("msp");
-  checkKeys(m,
-            {"n_starts", "frac_tau_l", "frac_tau_h", "relative_sd",
-             "local_max_evaluations", "local_initial_step"},
-            "policy msp options");
-  matchSize(m, "n_starts", options_.msp.n_starts);
-  matchNumber(m, "frac_tau_l", options_.msp.frac_tau_l);
-  matchNumber(m, "frac_tau_h", options_.msp.frac_tau_h);
-  matchNumber(m, "relative_sd", options_.msp.relative_sd);
-  matchSize(m, "local_max_evaluations", options_.msp.local.max_evaluations);
-  matchNumber(m, "local_initial_step", options_.msp.local.initial_step);
-  const Json& n = o.at("nargp");
-  checkKeys(n, {"n_mc", "n_mc_var", "n_restarts_low", "n_restarts_high"},
-            "policy nargp options");
-  matchSize(n, "n_mc", options_.nargp.n_mc);
-  matchSize(n, "n_mc_var", options_.nargp.n_mc_var);
-  matchSize(n, "n_restarts_low", options_.nargp.low.n_restarts);
-  matchSize(n, "n_restarts_high", options_.nargp.high.n_restarts);
-  // A custom factory is opaque, so the best available identity check is
-  // both-or-neither; the hyperparameter stamp below catches actual drift.
-  matchBool(policy, "custom_surrogate",
-            static_cast<bool>(options_.surrogate_factory));
-
-  if (target == EngineState::kInit) {
-    MFBO_CHECK(policy.at("surrogates").isNull(),
-               "hyperparameter stamp present before the first fit");
-    return;
-  }
-
-  // The Init state is atomic: any checkpoint past it archives the complete
-  // initial design, low prefix first.
-  MFBO_CHECK(history_.size() >= initTotal(), "history holds ",
-             history_.size(), " entries; the ", initTotal(),
-             "-point initial design is incomplete");
-  for (std::size_t i = 0; i < initTotal(); ++i) {
-    const Fidelity expect =
-        i < options_.n_init_low ? Fidelity::kLow : Fidelity::kHigh;
-    MFBO_CHECK(history_[i].fidelity == expect, "history entry ", i,
-               " breaks the initial-design fidelity pattern");
-  }
-
-  buildModels();
-  if (!models_fitted_) {
-    MFBO_CHECK(policy.at("surrogates").isNull(),
-               "hyperparameter stamp present before the first fit");
-    return;
-  }
-
-  // Replay the exact fit/addPoint schedule the original run performed (the
-  // retrain cadence is a pure function of the iteration numbers), so the
-  // models' internal trainer and MC generators advance identically and the
-  // restored state is byte-equal — checked against the stamp below.
-  const auto column_prefix = [](const Dataset& ds, std::size_t out,
-                                std::size_t count) {
-    std::vector<double> col = columnOf(ds, out);
-    col.resize(count);
-    return col;
-  };
-  const auto fit_prefix = [&](std::size_t n_low_rows,
-                              std::size_t n_high_rows) {
-    const std::vector<Vector> xl(low_.x.begin(),
-                                 low_.x.begin() +
-                                     static_cast<std::ptrdiff_t>(n_low_rows));
-    const std::vector<Vector> xh(
-        high_.x.begin(),
-        high_.x.begin() + static_cast<std::ptrdiff_t>(n_high_rows));
-    for (std::size_t i = 0; i < n_out_; ++i)
-      models_[i]->fit(xl, column_prefix(low_, i, n_low_rows), xh,
-                      column_prefix(high_, i, n_high_rows));
-  };
-
-  std::size_t low_cursor = options_.n_init_low;
-  std::size_t high_cursor = options_.n_init_high;
-  std::size_t entry = initTotal();
-  std::size_t iter = 0;
-  fit_prefix(low_cursor, high_cursor);
-  for (const std::size_t size : batches_) {
-    MFBO_CHECK(entry + size <= history_.size(),
-               "batch table exceeds the archived history");
-    bool retrain = retrainEvery() <= 1;
-    for (std::size_t s = 0; s < size && !retrain; ++s)
-      retrain = (iter + s + 1) % retrainEvery() == 0;
-    std::vector<std::pair<Fidelity, std::size_t>> rows;
-    rows.reserve(size);
-    for (std::size_t s = 0; s < size; ++s) {
-      const Fidelity f = history_[entry + s].fidelity;
-      rows.emplace_back(f, f == Fidelity::kHigh ? high_cursor++
-                                                : low_cursor++);
-    }
-    if (retrain) {
-      fit_prefix(low_cursor, high_cursor);
-    } else {
-      for (const auto& [f, row] : rows) {
-        const Dataset& ds = f == Fidelity::kHigh ? high_ : low_;
-        const Evaluation& eval = ds.evals[row];
-        for (std::size_t i = 0; i < n_out_; ++i) {
-          const double y = i == 0 ? eval.objective : eval.constraints[i - 1];
-          if (f == Fidelity::kHigh)
-            models_[i]->addHigh(ds.x[row], y, false);
-          else
-            models_[i]->addLow(ds.x[row], y, false);
-        }
-      }
-    }
-    iter += size;
-    entry += size;
-  }
-
-  std::vector<std::vector<double>> hypers;
-  hypers.reserve(models_.size());
-  for (const auto& model : models_) hypers.push_back(model->hyperparameters());
-  checkStampAgainst(policy.at("surrogates"), hypers);
+  // A custom factory is opaque: both-or-neither is the identity check
+  // available, and a replay that trains differently diverges at the next
+  // proposal.
+  o.set("custom_surrogate", static_cast<bool>(options_.surrogate_factory));
+  return o;
 }
 
 WeiboEngine::WeiboEngine(Problem& problem, std::uint64_t seed,
@@ -1300,7 +888,8 @@ std::vector<gp::Prediction> WeiboEngine::constraintPredictions(
 }
 
 void WeiboEngine::handleInit() {
-  traceRunStart("weibo", *problem_, seed_, options_.max_sims);
+  if (!replaying())
+    traceRunStart("weibo", *problem_, seed_, options_.max_sims);
   for (const Vector& u : linalg::latinHypercube(initTotal(), unit_, rng_))
     evaluateRaw(u, Fidelity::kHigh);
   buildModels();
@@ -1382,124 +971,17 @@ double WeiboEngine::observedAcquisition(const ProposedSlot& slot) {
              : weightedEi(models_[0].predict(slot.x), slot.tau_h, cons);
 }
 
-Json WeiboEngine::policyJson() const {
-  Json policy = Json::object();
+Json WeiboEngine::optionsJson() const {
   Json o = Json::object();
   o.set("n_init", options_.n_init);
   o.set("max_sims", options_.max_sims);
   o.set("retrain_every", options_.retrain_every);
   o.set("use_first_feasible", options_.use_first_feasible);
-  Json m = Json::object();
-  m.set("n_starts", options_.msp.n_starts);
-  m.set("frac_tau_l", options_.msp.frac_tau_l);
-  m.set("frac_tau_h", options_.msp.frac_tau_h);
-  m.set("relative_sd", options_.msp.relative_sd);
-  m.set("local_max_evaluations", options_.msp.local.max_evaluations);
-  m.set("local_initial_step", options_.msp.local.initial_step);
-  o.set("msp", std::move(m));
+  o.set("msp", mspJson(options_.msp));
   Json g = Json::object();
   g.set("n_restarts", options_.gp.n_restarts);
   o.set("gp", std::move(g));
-  policy.set("options", std::move(o));
-  Json stamp = Json::null();
-  if (models_fitted_) {
-    stamp = Json::array();
-    for (const auto& model : models_)
-      stamp.push(Json::numberArray(model.hyperparameters()));
-  }
-  policy.set("surrogates", std::move(stamp));
-  return policy;
-}
-
-void WeiboEngine::restorePolicy(const Json& policy, EngineState target) {
-  checkKeys(policy, {"options", "surrogates"}, "checkpoint policy");
-  const Json& o = policy.at("options");
-  checkKeys(o,
-            {"n_init", "max_sims", "retrain_every", "use_first_feasible",
-             "msp", "gp"},
-            "policy options");
-  matchSize(o, "n_init", options_.n_init);
-  matchNumber(o, "max_sims", options_.max_sims);
-  matchSize(o, "retrain_every", options_.retrain_every);
-  matchBool(o, "use_first_feasible", options_.use_first_feasible);
-  const Json& m = o.at("msp");
-  checkKeys(m,
-            {"n_starts", "frac_tau_l", "frac_tau_h", "relative_sd",
-             "local_max_evaluations", "local_initial_step"},
-            "policy msp options");
-  matchSize(m, "n_starts", options_.msp.n_starts);
-  matchNumber(m, "frac_tau_l", options_.msp.frac_tau_l);
-  matchNumber(m, "frac_tau_h", options_.msp.frac_tau_h);
-  matchNumber(m, "relative_sd", options_.msp.relative_sd);
-  matchSize(m, "local_max_evaluations", options_.msp.local.max_evaluations);
-  matchNumber(m, "local_initial_step", options_.msp.local.initial_step);
-  const Json& g = o.at("gp");
-  checkKeys(g, {"n_restarts"}, "policy gp options");
-  matchSize(g, "n_restarts", options_.gp.n_restarts);
-
-  MFBO_CHECK(tracker_.numLow() == 0 && low_.size() == 0,
-             "weibo checkpoint contains low-fidelity history");
-  MFBO_CHECK(pending_.size() <= 1, "weibo proposes one point per batch, got ",
-             pending_.size(), " pending");
-
-  if (target == EngineState::kInit) {
-    MFBO_CHECK(policy.at("surrogates").isNull(),
-               "hyperparameter stamp present before the first fit");
-    return;
-  }
-  MFBO_CHECK(history_.size() >= initTotal(), "history holds ",
-             history_.size(), " entries; the ", initTotal(),
-             "-point initial design is incomplete");
-
-  buildModels();
-  if (!models_fitted_) {
-    MFBO_CHECK(policy.at("surrogates").isNull(),
-               "hyperparameter stamp present before the first fit");
-    return;
-  }
-
-  // Replay the exact fit/addPoint schedule (see MfboEngine::restorePolicy).
-  const auto column_prefix = [](std::vector<double> col, std::size_t count) {
-    col.resize(count);
-    return col;
-  };
-  const auto fit_prefix = [&](std::size_t n_rows) {
-    const spans::ScopedSpan span("fit_high");
-    const std::vector<Vector> xs(
-        high_.x.begin(),
-        high_.x.begin() + static_cast<std::ptrdiff_t>(n_rows));
-    models_[0].fit(xs, column_prefix(high_.objectives(), n_rows));
-    for (std::size_t i = 0; i < nc_; ++i)
-      models_[1 + i].fit(xs, column_prefix(high_.constraintColumn(i), n_rows));
-  };
-
-  std::size_t cursor = initTotal();
-  std::size_t iter = 0;
-  fit_prefix(cursor);
-  for (const std::size_t size : batches_) {
-    MFBO_CHECK(size == 1, "weibo batches are always size 1, got ", size);
-    MFBO_CHECK(cursor < high_.size(),
-               "batch table exceeds the archived history");
-    const bool retrain =
-        retrainEvery() <= 1 || (iter + 1) % retrainEvery() == 0;
-    if (retrain) {
-      ++cursor;
-      fit_prefix(cursor);
-    } else {
-      const spans::ScopedSpan span("fit_high");
-      const Evaluation& eval = high_.evals[cursor];
-      models_[0].addPoint(high_.x[cursor], eval.objective, false);
-      for (std::size_t i = 0; i < nc_; ++i)
-        models_[1 + i].addPoint(high_.x[cursor], eval.constraints[i], false);
-      ++cursor;
-    }
-    ++iter;
-  }
-
-  std::vector<std::vector<double>> hypers;
-  hypers.reserve(models_.size());
-  for (const auto& model : models_) hypers.push_back(model.hyperparameters());
-  checkStampAgainst(policy.at("surrogates"), hypers);
+  return o;
 }
 
 }  // namespace mfbo::bo

@@ -1,6 +1,6 @@
 // mfbo::bo — resumable synthesis engine: Algorithm 1's propose → simulate
-// → observe loop as an explicit state machine with versioned
-// checkpoint/resume and q-point constant-liar batch proposals.
+// → observe loop as an explicit state machine with an append-only run log
+// and q-point constant-liar batch proposals.
 //
 // States and transitions (every state change goes through
 // Engine::transition — the single mutation site, pinned by lint rule
@@ -11,19 +11,23 @@
 //             │    └────────→ Done (budget spent)     │
 //             └──────────────────────────────────────-┘
 //
-// Checkpoint contract: checkpoint() may be taken at any state boundary
-// (between step() calls). restore() on a freshly constructed engine
+// Run log contract: the run is a pure function of the seed, the options and
+// the evaluations the simulator returned, so those evaluations are its
+// whole persistent state. logHeader() names the run (format, version,
+// algo, seed, problem identity, options); logRecord() writes one line per
+// persisted boundary holding the step count and the evaluations completed
+// since the previous line, sealed with a 64-bit FNV-1a checksum. replay()
+// on a freshly constructed engine checks the header byte for byte, then
+// re-executes step() up to each line's step count while serving the
+// logged evaluations in place of the simulator; every served evaluation
+// must match the proposed fidelity and unit-cube input bit for bit, and
+// every line must be used up exactly. Surrogates, MSP searches and the
+// eq. (11)/(12) decisions are recomputed, never deserialized, so replay
 // followed by run() yields a result and a trace-event suffix
 // byte-identical to the uninterrupted run at any thread count — the
-// crash/resume differential harness in tests/test_checkpoint.cpp enforces
-// this at every reachable boundary.
-//
-// Surrogates are restored by *replaying* the exact fit/addPoint schedule
-// against the archived observations, never by deserializing factors: the
-// incremental Cholesky append is equivalent to a rebuild only to ~1e-8, so
-// serialized factors could not reproduce the uninterrupted run's bytes.
-// The checkpointed hyperparameters instead serve as an integrity stamp the
-// replayed models must match exactly.
+// crash/resume harness in tests/test_checkpoint.cpp enforces this at every
+// reachable boundary. Replay mutes only the observer callback and trace
+// emission; everything else, iterationWanted() included, runs as it did.
 //
 // Batch proposals (MfboOptions::batch_size = q > 1) use the constant-liar
 // fantasy: the fused surrogates are cloned once per batch, each proposed
@@ -37,7 +41,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -45,7 +49,6 @@
 #include "bo/mfbo.h"
 #include "bo/weibo.h"
 #include "common/json.h"
-#include "common/telemetry.h"
 
 namespace mfbo::bo {
 
@@ -58,14 +61,13 @@ enum class EngineState {
   kDone,          ///< budget exhausted; result available
 };
 
-/// Lowercase state name used in checkpoints ("fit_surrogate", ...).
+/// Lowercase state name used in the flight-recorder journal
+/// ("fit_surrogate", ...).
 const char* engineStateName(EngineState s);
-/// Inverse of engineStateName; unknown names are a ContractViolation.
-EngineState engineStateFromName(std::string_view name);
 
 /// One slot of the current proposal batch, carrying everything the Observe
 /// phase needs to publish the iteration record after the (possibly
-/// asynchronous) evaluation lands. Serialized verbatim into checkpoints.
+/// asynchronous) evaluation lands.
 struct ProposedSlot {
   std::size_t iteration = 0;  ///< 1-based loop iteration this slot is
   Vector x;                   ///< proposed point (unit cube, post-dedupe)
@@ -86,7 +88,6 @@ struct ProposedSlot {
   double max_norm_var = IterationRecord::kNan;  ///< eq. (11) LHS
   double threshold = IterationRecord::kNan;     ///< eq. (12) RHS
   std::vector<double> norm_low_var;  ///< per-output normalized low variance
-  bool evaluated = false;
   std::size_t history_index = 0;  ///< row in the run history once evaluated
   std::size_t dataset_index = 0;  ///< row in its fidelity's archive
 };
@@ -98,7 +99,8 @@ Json synthesisResultToJson(const SynthesisResult& result);
 
 /// Base synthesis state machine. Owns the archives, cost meter, RNG and
 /// pending batch; subclasses provide the algorithm-specific Init /
-/// FitSurrogate / Propose handlers and the checkpoint policy section.
+/// FitSurrogate / Propose handlers and the options section of the run-log
+/// header.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -118,26 +120,43 @@ class Engine {
   double costSpent() const { return tracker_.cost(); }
   double costBudget() const { return budget(); }
   std::size_t iterationCount() const { return iteration_; }
+  /// step() calls completed so far: the run log's position.
+  std::size_t steps() const { return steps_; }
+  /// Evaluations recorded so far (rows of the run history).
+  std::size_t evaluations() const {
+    return tracker_.numLow() + tracker_.numHigh();
+  }
 
   /// Execute the current state's handler and advance. Not callable once
-  /// Done.
+  /// Done, nor after a rejected replay().
   void step();
 
   /// Drive the machine to completion under the algorithm's run span and
-  /// return the result. Works from a fresh engine and from a restored
-  /// checkpoint.
+  /// return the result. Works from a fresh engine and from a replayed log.
   virtual SynthesisResult run() = 0;
 
-  /// Serialize the complete optimizer state at the current boundary.
-  /// Callable between any two step() calls; not once Done.
-  Json checkpoint() const;
+  /// The run log's first line, newline included: format, version, algo,
+  /// seed (a decimal string), problem identity and this engine's options.
+  std::string logHeader() const;
 
-  /// Reinstate a checkpoint() document into this freshly constructed
-  /// engine (same problem, same options). Validates every field and
-  /// replays the surrogate training schedule; any mismatch — version,
-  /// problem identity, options, shapes, non-finite payloads, or replayed
-  /// hyperparameters drifting from the stamp — is a ContractViolation.
-  void restore(const Json& ckpt);
+  /// One run-log line, newline included: steps() and the evaluations
+  /// recorded since history row @p first_evaluation (fidelity, unit-cube
+  /// input, objective, constraints), followed by the FNV-1a checksum of
+  /// those bytes. Callable between any two step() calls; not once Done.
+  std::string logRecord(std::size_t first_evaluation) const;
+
+  /// Replay a run log (logHeader() followed by logRecord() lines) into
+  /// this freshly constructed engine: check the header byte for byte, then
+  /// step to each line's step count, serving the logged evaluations in
+  /// place of the simulator. An unterminated final line — an append cut
+  /// short by a kill — is ignored. Returns the length of the replayed
+  /// prefix (0 when the log holds no complete line, leaving the engine
+  /// fresh). Any mismatch — header, checksum, field ranges, an evaluation
+  /// that differs from the replayed proposal, an unconsumed evaluation, a
+  /// step count going backwards or past the end of the run — is a
+  /// ContractViolation (a forged line with invalid JSON is a parse error),
+  /// after which the engine refuses to step.
+  std::size_t replay(std::string_view log);
 
   /// Move the result out; engine must be Done.
   SynthesisResult takeResult();
@@ -146,8 +165,7 @@ class Engine {
   Engine(Problem& problem, std::uint64_t seed);
 
   /// The single state-mutation site (lint rule E001). Checks the edge
-  /// against the transition diagram above; restore() is the one caller
-  /// allowed to jump from Init to the checkpointed state.
+  /// against the transition diagram above.
   void transition(EngineState next);
 
   /// Shared driver behind every run() override: step to completion,
@@ -168,14 +186,14 @@ class Engine {
   /// Acquisition (or eq. 13 criterion) value reported for @p slot's
   /// iteration record, on the models that proposed it.
   virtual double observedAcquisition(const ProposedSlot& slot) = 0;
-  /// Subclass section of the checkpoint: options digest + surrogate
-  /// hyperparameter stamp (null until the first fit).
-  virtual Json policyJson() const = 0;
-  /// Validate the policy section against this engine's options, rebuild
-  /// the surrogates, and replay their training schedule (only up to what
-  /// @p target implies has already happened — a checkpoint at
-  /// FitSurrogate with a pending batch has *not* absorbed that batch yet).
-  virtual void restorePolicy(const Json& policy, EngineState target) = 0;
+  /// Options section of the run-log header: every setting the run depends
+  /// on, so a log replays only into an identically configured engine.
+  virtual Json optionsJson() const = 0;
+
+  /// True while replay() re-executes logged steps: the observer callback
+  /// and trace emission stay silent, so a resumed trace is the suffix of
+  /// the uninterrupted one.
+  bool replaying() const { return replay_ != nullptr; }
 
   // Shared handlers.
   void handleAwaitResults();
@@ -190,12 +208,12 @@ class Engine {
   /// only; called in slot order so the records match the sequential loop.
   /// Returns the history row index.
   std::size_t recordEvaluation(const Vector& u, Fidelity f, Evaluation eval);
-  /// simulate + recordEvaluation in one call — the serial evaluation path
-  /// used by the init designs.
+  /// simulate (or, during replay, the logged evaluation) + recordEvaluation
+  /// in one call — the serial evaluation path used by the init designs.
   std::size_t evaluateRaw(const Vector& u, Fidelity f);
 
-  /// Tail of every FitSurrogate handler: archive the completed batch,
-  /// close the iteration timer, and advance on the remaining budget.
+  /// Tail of every FitSurrogate handler: retire the completed batch and
+  /// advance on the remaining budget.
   void finishFit();
 
   /// True when the batch containing the given iterations retrains
@@ -220,18 +238,20 @@ class Engine {
   Dataset high_;  ///< high-fidelity archive (WEIBO's only archive)
   std::size_t iteration_ = 0;
   std::vector<ProposedSlot> pending_;   ///< current batch
-  std::vector<std::size_t> batches_;    ///< sizes of completed batches
   bool models_fitted_ = false;
-  std::optional<telemetry::ScopedTimer> iter_timer_;
   SynthesisResult result_;
 
  private:
+  struct ReplayFeed;
+
   void finish();
-  void restoreHistory(const Json& ckpt);
-  void restorePending(const Json& ckpt, EngineState target);
+  /// The next logged evaluation, which must match (@p u, @p f) bit for bit.
+  Evaluation serveLogged(const Vector& u, Fidelity f);
 
   EngineState state_ = EngineState::kInit;
-  bool restoring_ = false;
+  std::size_t steps_ = 0;
+  ReplayFeed* replay_ = nullptr;  ///< set while replay() runs
+  bool rejected_ = false;         ///< a replay() failed part-way
 };
 
 /// The paper's multi-fidelity synthesizer as an Engine; adds q-point
@@ -257,8 +277,7 @@ class MfboEngine final : public Engine {
   void handleFitSurrogate() override;
   void handlePropose() override;
   double observedAcquisition(const ProposedSlot& slot) override;
-  Json policyJson() const override;
-  void restorePolicy(const Json& policy, EngineState target) override;
+  Json optionsJson() const override;
 
  private:
   using Models = std::vector<std::unique_ptr<mf::MfSurrogate>>;
@@ -310,8 +329,7 @@ class WeiboEngine final : public Engine {
   void handleFitSurrogate() override;
   void handlePropose() override;
   double observedAcquisition(const ProposedSlot& slot) override;
-  Json policyJson() const override;
-  void restorePolicy(const Json& policy, EngineState target) override;
+  Json optionsJson() const override;
 
  private:
   void buildModels();

@@ -16,15 +16,6 @@ SynthesisResult MfboSynthesizer::run(Problem& problem,
   return engine.run();
 }
 
-SynthesisResult MfboSynthesizer::resume(Problem& problem,
-                                        const Json& checkpoint) const {
-  // The seed is part of the checkpoint; the constructor argument is
-  // overwritten by restore().
-  MfboEngine engine(problem, 0, options_);
-  engine.restore(checkpoint);
-  return engine.run();
-}
-
 std::unique_ptr<Engine> MfboSynthesizer::makeEngine(Problem& problem,
                                                     std::uint64_t seed) const {
   return std::make_unique<MfboEngine>(problem, seed, options_);

@@ -20,10 +20,6 @@
 #include "mf/ar1.h"
 #include "mf/nargp.h"
 
-namespace mfbo {
-class Json;
-}
-
 namespace mfbo::bo {
 
 class Engine;
@@ -68,12 +64,6 @@ class MfboSynthesizer {
 
   /// Run one synthesis. Deterministic given (problem, seed).
   SynthesisResult run(Problem& problem, std::uint64_t seed) const;
-
-  /// Resume a run from an Engine::checkpoint() document and drive it to
-  /// completion. With the same problem and options, the result and the
-  /// emitted trace-event suffix are byte-identical to the uninterrupted
-  /// run's.
-  SynthesisResult resume(Problem& problem, const Json& checkpoint) const;
 
   /// Build the underlying state machine for stepwise driving (the
   /// checkpoint/kill/resume harnesses and service schedulers).

@@ -15,14 +15,6 @@ SynthesisResult Weibo::run(Problem& problem, std::uint64_t seed) const {
   return engine.run();
 }
 
-SynthesisResult Weibo::resume(Problem& problem, const Json& checkpoint) const {
-  // The seed is part of the checkpoint; the constructor argument is
-  // overwritten by restore().
-  WeiboEngine engine(problem, 0, options_);
-  engine.restore(checkpoint);
-  return engine.run();
-}
-
 std::unique_ptr<Engine> Weibo::makeEngine(Problem& problem,
                                           std::uint64_t seed) const {
   return std::make_unique<WeiboEngine>(problem, seed, options_);

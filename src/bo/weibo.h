@@ -12,10 +12,6 @@
 #include "bo/common.h"
 #include "gp/gp_regressor.h"
 
-namespace mfbo {
-class Json;
-}
-
 namespace mfbo::bo {
 
 class Engine;
@@ -40,10 +36,6 @@ class Weibo {
 
   /// Run one synthesis. Deterministic given (problem, seed).
   SynthesisResult run(Problem& problem, std::uint64_t seed) const;
-
-  /// Resume a run from an Engine::checkpoint() document (see
-  /// MfboSynthesizer::resume).
-  SynthesisResult resume(Problem& problem, const Json& checkpoint) const;
 
   /// Build the underlying state machine for stepwise driving.
   std::unique_ptr<Engine> makeEngine(Problem& problem,

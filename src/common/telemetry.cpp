@@ -1,11 +1,9 @@
 #include "common/telemetry.h"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "common/check.h"
 #include "common/memstats.h"
@@ -69,7 +67,6 @@ thread_local MetricsRegistry* t_active_registry = nullptr;
 struct MetricsRegistry::Impl {
   Registry<Counter> counters;
   Registry<Gauge> gauges;
-  Registry<Timer> timers;
   Registry<Histogram> histograms;
 };
 
@@ -155,10 +152,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return impl_->gauges.get(name);
 }
 
-Timer& MetricsRegistry::timer(std::string_view name) {
-  return impl_->timers.get(name);
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name) {
   return impl_->histograms.get(name);
 }
@@ -166,7 +159,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
 void MetricsRegistry::reset() {
   impl_->counters.resetAll();
   impl_->gauges.resetAll();
-  impl_->timers.resetAll();
   impl_->histograms.resetAll();
 }
 
@@ -185,18 +177,6 @@ Json MetricsRegistry::metricsJson(bool include_timers) const {
   snapshot.set("counters", std::move(counter_obj));
   snapshot.set("gauges", std::move(gauge_obj));
   if (include_timers) {
-    Json timer_obj = Json::object();
-    impl_->timers.forEach([&](const std::string& name, const Timer& t) {
-      Json entry = Json::object();
-      entry.set("count", Json::number(static_cast<double>(t.count())));
-      entry.set("total_s", Json::number(t.totalSeconds()));
-      entry.set("min_s", Json::number(t.minSeconds()));
-      entry.set("p50_s", Json::number(t.quantileSeconds(0.50)));
-      entry.set("p95_s", Json::number(t.quantileSeconds(0.95)));
-      entry.set("max_s", Json::number(t.maxSeconds()));
-      timer_obj.set(name, std::move(entry));
-    });
-    snapshot.set("timers", std::move(timer_obj));
     Json histogram_obj = Json::object();
     impl_->histograms.forEach(
         [&](const std::string& name, const Histogram& h) {
@@ -240,84 +220,11 @@ MetricsRegistry* exchangeActiveRegistry(MetricsRegistry* registry) {
 
 }  // namespace detail
 
-void Timer::record(double seconds) {
-  // Reservoir growth is observability overhead; which thread happens to
-  // trigger it is scheduling-dependent, so it must stay invisible to the
-  // deterministic per-span allocation counters.
-  const memstats::PauseScope alloc_pause;
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (count_ == 0 || seconds < min_) min_ = seconds;
-  if (seconds > max_) max_ = seconds;
-  total_ += seconds;
-  // Vitter's Algorithm R: keep the first kReservoirCap samples, then
-  // replace a uniformly chosen slot with probability cap/(count+1). The
-  // private LCG (Knuth MMIX constants) keeps replacement deterministic for
-  // a fixed record() order without touching any global RNG state.
-  if (samples_.size() < kReservoirCap) {
-    samples_.push_back(seconds);
-  } else {
-    lcg_ = lcg_ * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t slot = (lcg_ >> 16) % (count_ + 1);
-    if (slot < kReservoirCap) samples_[slot] = seconds;
-  }
-  ++count_;
-}
-
-std::uint64_t Timer::count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-double Timer::totalSeconds() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-double Timer::minSeconds() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return count_ > 0 ? min_ : 0.0;
-}
-
-double Timer::maxSeconds() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return max_;
-}
-
-double Timer::meanSeconds() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return count_ > 0 ? total_ / static_cast<double>(count_) : 0.0;
-}
-
-double Timer::quantileSeconds(double q) const {
-  MFBO_CHECK(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted(samples_);
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  const std::size_t idx =
-      rank < 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-void Timer::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  count_ = 0;
-  total_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  lcg_ = 0x9e3779b97f4a7c15ull;
-  samples_.clear();
-}
-
 Counter& counter(std::string_view name) {
   return detail::activeRegistry()->counter(name);
 }
 Gauge& gauge(std::string_view name) {
   return detail::activeRegistry()->gauge(name);
-}
-Timer& timer(std::string_view name) {
-  return detail::activeRegistry()->timer(name);
 }
 Histogram& histogram(std::string_view name) {
   return detail::activeRegistry()->histogram(name);
@@ -328,9 +235,9 @@ Json metricsSnapshot(bool include_timers) {
   const memstats::PauseScope alloc_pause;
   Json snapshot = detail::activeRegistry()->metricsJson(include_timers);
   if (include_timers) {
-    // The kernel's high-water mark, like the timers, is real-machine state:
-    // meaningful for a human, nondeterministic by nature, and therefore
-    // only present when the wall-clock sections are.
+    // The kernel's high-water mark, like the histograms, is real-machine
+    // state: meaningful for a human, nondeterministic by nature, and
+    // therefore only present when the wall-clock sections are.
     snapshot.set("peak_rss_bytes",
                  Json::number(static_cast<double>(memstats::peakRssBytes())));
   }

@@ -6,10 +6,10 @@
 // impossible to diagnose without a debugger. This header provides the two
 // observability primitives the rest of the library hooks into:
 //
-//   * Metrics — named monotonic Counters, Gauges, and Timer histograms in a
-//     MetricsRegistry. There is one process-wide default registry
+//   * Metrics — named monotonic Counters, Gauges, and latency Histograms in
+//     a MetricsRegistry. There is one process-wide default registry
 //     (globalMetrics()); a TelemetryScope temporarily points the calling
-//     thread's free counter()/gauge()/timer() lookups at a private registry
+//     thread's free counter()/gauge()/histogram() lookups at a private registry
 //     instead, which is how the session layer (src/service) keeps N
 //     concurrent engines from interleaving their counters in one shared
 //     store. Instrumentation sites look their metric up once per *call*
@@ -30,9 +30,11 @@
 //     CollectingTraceSink buffers events in memory for tests and embedders.
 //
 // The metrics side is thread-safe: instrumented sites run inside the
-// deterministic parallel regions of common/parallel.h, so counter/gauge
-// updates are relaxed atomics, timers take a tiny mutex, and registry
-// lookups are mutex-protected (references stay stable and valid forever).
+// deterministic parallel regions of common/parallel.h, so counter, gauge
+// and histogram updates are relaxed atomics, and registry lookups are
+// mutex-protected (references stay stable and valid forever). Where a
+// phase's wall time matters, the span profiler (common/spans.h) measures
+// it.
 // Trace sinks remain single-writer by contract — events are emitted only
 // from the serial sections of the synthesis loops — except TraceWriter,
 // which locks per line so embedders tracing from their own threads get
@@ -82,50 +84,13 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Accumulating duration statistic (count / total / min / max seconds) plus
-/// summary quantiles from a bounded reservoir. A full histogram is overkill
-/// for the per-run artifacts; extrema answer "how long at worst" and the
-/// p50/p95 quantiles expose tail latency without bucketing decisions. The
-/// reservoir uses Vitter's Algorithm R with a private LCG (no global RNG
-/// state touched), so quantiles are exact below kReservoirCap samples and
-/// an unbiased sample above it. All fields update together under a mutex so
-/// concurrent record() calls from parallel workers cannot tear a snapshot.
-class Timer {
- public:
-  /// Reservoir size: exact quantiles for the first 512 samples, sampled
-  /// beyond. 512 doubles is small enough to keep per-timer forever.
-  static constexpr std::size_t kReservoirCap = 512;
-
-  void record(double seconds);
-  std::uint64_t count() const;
-  double totalSeconds() const;
-  double minSeconds() const;
-  double maxSeconds() const;
-  double meanSeconds() const;
-  /// Nearest-rank quantile over the reservoir; q in [0, 1]. Returns 0 when
-  /// nothing was recorded.
-  double quantileSeconds(double q) const;
-  void reset();
-
- private:
-  mutable std::mutex mu_;
-  std::uint64_t count_ = 0;
-  double total_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::uint64_t lcg_ = 0x9e3779b97f4a7c15ull;  ///< reservoir replacement RNG
-  std::vector<double> samples_;
-};
-
 /// Fixed-bucket log-scale latency histogram for the service health layer
-/// (src/service/health.h). Where Timer answers "how long did it take" for
-/// a run artifact, Histogram answers the operator's SLO question — p50/
-/// p90/p99 over an unbounded stream — with *bucket-exact* quantiles: the
-/// reservoir's sampling error is replaced by a fixed resolution of
-/// kBucketsPerDecade buckets per decade over [100ns, 1000s], plus an
-/// underflow and an overflow bucket. record() is lock-free (three relaxed
-/// atomic bumps, no allocation ever), so it is safe on every hot path and
-/// readable mid-flight by a health scrape. Quantiles report the upper
+/// (src/service/health.h). It answers the operator's SLO question — p50/
+/// p90/p99 over an unbounded stream — with *bucket-exact* quantiles at a
+/// fixed resolution of kBucketsPerDecade buckets per decade over
+/// [100ns, 1000s], plus an underflow and an overflow bucket. record() is
+/// lock-free (three relaxed atomic bumps, no allocation ever), so it is
+/// safe on every hot path and readable mid-flight by a health scrape. Quantiles report the upper
 /// edge of the covering bucket: deterministic for fixed counts, never
 /// underestimates the tail.
 class Histogram {
@@ -162,7 +127,7 @@ class Histogram {
 /// and return references that stay valid for the registry's lifetime
 /// (reset() zeroes values without invalidating references). The process has
 /// one default instance — globalMetrics() — backing the free
-/// counter()/gauge()/timer() functions; the session layer gives every
+/// counter()/gauge()/histogram() functions; the session layer gives every
 /// concurrent optimization run a private instance via TelemetryScope so
 /// snapshots never mix two runs' counters.
 class MetricsRegistry {
@@ -174,7 +139,6 @@ class MetricsRegistry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Timer& timer(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   /// Zero every registered metric (references stay valid).
@@ -182,10 +146,9 @@ class MetricsRegistry {
 
   /// Serialize this registry's metrics, sorted by name:
   /// {"counters":{...},"gauges":{...},
-  ///  "timers":{name:{count,total_s,min_s,p50_s,p95_s,max_s}},
   ///  "histograms":{name:{count,total_s,p50_s,p90_s,p99_s}}}.
-  /// With include_timers=false the wall-clock "timers" and "histograms"
-  /// sections are omitted; counters and gauges are deterministic for a
+  /// With include_timers=false the wall-clock "histograms" section is
+  /// omitted; counters and gauges are deterministic for a
   /// fixed seed at any thread count, so the remaining document is
   /// byte-reproducible.
   Json metricsJson(bool include_timers) const;
@@ -195,12 +158,12 @@ class MetricsRegistry {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The process-wide default registry: what counter()/gauge()/timer()
+/// The process-wide default registry: what counter()/gauge()/histogram()
 /// resolve against when no TelemetryScope is active on the calling thread.
 MetricsRegistry& globalMetrics();
 
 /// RAII registry scoping: while alive, the constructing thread's free
-/// counter()/gauge()/timer()/metricsSnapshot()/resetMetrics() calls resolve
+/// counter()/gauge()/histogram()/metricsSnapshot()/resetMetrics() calls resolve
 /// against @p registry instead of globalMetrics(). Scopes nest (restore the
 /// previous registry on destruction) and are thread-local — the parallel
 /// pool propagates the active registry into its workers per region, so
@@ -244,17 +207,16 @@ MetricsRegistry* exchangeActiveRegistry(MetricsRegistry* registry);
 /// later sessions' metrics into the wrong store (lint rule D005).
 Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
-Timer& timer(std::string_view name);
 Histogram& histogram(std::string_view name);
 
 /// Serialize the active registry (MetricsRegistry::metricsJson) and append
 /// process-level observability state:
 /// {"counters":{...},"gauges":{...},
-///  "timers":{name:{count,total_s,min_s,p50_s,p95_s,max_s}},
+///  "histograms":{name:{count,total_s,p50_s,p90_s,p99_s}},
 ///  "peak_rss_bytes":...}.
 /// When the span profiler is enabled (common/spans.h) the calling thread's
 /// span tree is appended under a "spans" key. With include_timers=false the
-/// wall-clock "timers" section and the nondeterministic process peak-RSS
+/// wall-clock "histograms" section and the nondeterministic process peak-RSS
 /// sample (common/memstats.h) are omitted and the span tree drops its
 /// total_s/self_s fields — counters, gauges, span counts, and the per-span
 /// allocation counters are deterministic for a fixed seed at any thread
@@ -265,25 +227,8 @@ Json metricsSnapshot(bool include_timers = true);
 /// Zero every metric in the active registry (references stay valid).
 void resetMetrics();
 
-/// RAII wall-clock timer recording into a Timer on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer& t)
-      : timer_(t), start_(std::chrono::steady_clock::now()) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    timer_.record(std::chrono::duration<double>(elapsed).count());
-  }
-
- private:
-  Timer& timer_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// RAII wall-clock latency sample recording into a Histogram on
-/// destruction — the SLO twin of ScopedTimer.
+/// destruction.
 class ScopedLatency {
  public:
   explicit ScopedLatency(Histogram& h)

@@ -162,9 +162,7 @@ void GpRegressor::train(bool warm_start) {
       telemetry::counter("gp.train.poisoned_nonfinite");
   telemetry::Counter& fallback_prior =
       telemetry::counter("gp.train.fallback_to_prior");
-  telemetry::Timer& fit_timer = telemetry::timer("gp.fit_seconds");
   fit_calls.add();
-  const telemetry::ScopedTimer fit_scope(fit_timer);
   const spans::ScopedSpan train_span("gp_train");
 
   // Standardize targets for this training set.

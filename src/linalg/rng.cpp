@@ -1,7 +1,5 @@
 #include "linalg/rng.h"
 
-#include <sstream>
-
 #include "common/check.h"
 
 namespace mfbo::linalg {
@@ -63,34 +61,6 @@ Rng Rng::fork() {
   const std::uint64_t child_seed =
       engine_() ^ 0x9E3779B97F4A7C15ull;
   return Rng(child_seed);
-}
-
-std::string Rng::saveState() const {
-  // The stream operators of mt19937_64 and normal_distribution serialize
-  // their exact internal state (the standard requires the round trip to
-  // reproduce the draw sequence); both use space-separated decimal tokens.
-  std::ostringstream os;
-  os << "rng-v1 " << seed_ << ' ' << engine_ << ' ' << normal_;
-  return os.str();
-}
-
-void Rng::restoreState(const std::string& state) {
-  std::istringstream is(state);
-  std::string tag;
-  is >> tag;
-  MFBO_CHECK(is && tag == "rng-v1", "unrecognized rng state tag '", tag, "'");
-  std::uint64_t seed = 0;
-  std::mt19937_64 engine;
-  std::normal_distribution<double> normal{0.0, 1.0};
-  is >> seed >> engine >> normal;
-  MFBO_CHECK(!is.fail(), "malformed rng state token");
-  std::string trailing;
-  is >> trailing;
-  MFBO_CHECK(trailing.empty(), "trailing garbage in rng state token: '",
-             trailing, "'");
-  seed_ = seed;
-  engine_ = engine;
-  normal_ = normal;
 }
 
 Rng Rng::split(std::uint64_t stream) const {

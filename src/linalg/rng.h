@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "linalg/vector.h"
@@ -61,19 +60,6 @@ class Rng {
   /// stream whether the loop runs serially or on N threads, and sibling
   /// streams are decorrelated (SplitMix64 of the seed/stream pair).
   Rng split(std::uint64_t stream) const;
-
-  /// Serialize the complete generator state — the construction seed (the
-  /// base of every split() stream), the engine position, and the normal
-  /// distribution's cached spare draw — to a printable token. Without the
-  /// seed a reconstructed generator would resume the main stream correctly
-  /// but hand out *different* split() streams, a bug that only surfaces
-  /// once runs are checkpointed and resumed.
-  std::string saveState() const;
-
-  /// Reinstate a saveState() token exactly: subsequent draws and split()
-  /// streams are byte-identical to the generator that produced the token.
-  /// Rejects malformed tokens with ContractViolation.
-  void restoreState(const std::string& state);
 
   std::mt19937_64& engine() { return engine_; }
 

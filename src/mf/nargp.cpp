@@ -91,9 +91,6 @@ void NargpModel::addHigh(const Vector& x, double y, bool retrain) {
 }
 
 void NargpModel::rebuildHigh(bool retrain) {
-  telemetry::Timer& fuse_timer =
-      telemetry::timer("mf.nargp.fuse_seconds");
-  const telemetry::ScopedTimer fuse_scope(fuse_timer);
   const spans::ScopedSpan fit_high_span("fit_high");
   std::vector<Vector> z;
   z.reserve(x_high_.size());
@@ -123,11 +120,8 @@ Prediction NargpModel::predictHigh(const Vector& x) const {
       telemetry::counter("mf.nargp.predict_high_calls");
   telemetry::Counter& mc_samples =
       telemetry::counter("mf.nargp.mc_samples");
-  telemetry::Timer& predict_timer =
-      telemetry::timer("mf.nargp.predict_high_seconds");
   predict_calls.add();
   mc_samples.add(config_.n_mc);
-  const telemetry::ScopedTimer predict_scope(predict_timer);
   // One span per predictHigh call, opened *outside* the parallel MC region:
   // per-chunk spans would count chunks, which depend on the thread count.
   const spans::ScopedSpan mc_span("mc_integration");

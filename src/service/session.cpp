@@ -10,7 +10,6 @@ namespace mfbo::service {
 
 namespace {
 
-constexpr const char* kCheckpointFormat = "mfbo-session-checkpoint";
 constexpr const char* kResultFormat = "mfbo-session-result";
 constexpr int kEnvelopeVersion = 1;
 
@@ -26,16 +25,15 @@ void checkId(const std::string& id) {
                "' may only contain [A-Za-z0-9_-]");
 }
 
-/// Shared validation of the persisted envelopes: exact format tag, exact
+/// Validation of a persisted result envelope: exact format tag, exact
 /// version, and the session/algo identity this document claims to belong
-/// to. A file swapped between sessions (or hand-edited) fails here before
-/// any engine state is touched.
-void checkEnvelope(const Json& doc, const char* format,
-                   const std::string& session_id, const char* algo) {
+/// to. A file swapped between sessions (or hand-edited) fails here.
+void checkEnvelope(const Json& doc, const std::string& session_id,
+                   const char* algo) {
   MFBO_CHECK(doc.isObject(), "session document must be a JSON object");
   MFBO_CHECK(doc.contains("format") && doc.at("format").isString() &&
-                 doc.at("format").asString() == format,
-             "session document format must be '", format, "'");
+                 doc.at("format").asString() == kResultFormat,
+             "session document format must be '", kResultFormat, "'");
   MFBO_CHECK(doc.contains("version") && doc.at("version").isNumber() &&
                  doc.at("version").asNumber() == kEnvelopeVersion,
              "unsupported session document version");
@@ -91,7 +89,7 @@ void Session::step() {
   // fidelity events recorded inside step() carry this session's id.
   const eventlog::ScopedSession journal_label(spec_.id);
   eventlog::record(eventlog::EventKind::kSessionStep, nullptr, nullptr,
-                   static_cast<std::int64_t>(steps_));
+                   static_cast<std::int64_t>(steps()));
   {
     // session_step > <algo> > <phase spans>: the algo span reproduces the
     // run-span nesting of Engine::run(), so a stepped session's tree
@@ -103,7 +101,6 @@ void Session::step() {
     const spans::ScopedSpan algo_span(engine_->algo());
     engine_->step();
   }
-  ++steps_;
   if (engine_->done()) complete();
 }
 
@@ -119,50 +116,44 @@ void Session::resume() {
   status_ = SessionStatus::kRunning;
 }
 
-Json Session::checkpoint() const {
+std::string Session::checkpoint() const {
   MFBO_CHECK(status_ != SessionStatus::kDone,
              "checkpoint() on a completed session");
   // Persistence is service machinery, not session workload: its
   // allocations must not show up in the session's span tree, or a
   // checkpointed run would diverge byte-wise from an unmonitored one.
   const memstats::PauseScope alloc_pause;
-  Json doc = Json::object();
-  doc.set("format", kCheckpointFormat);
-  doc.set("version", kEnvelopeVersion);
-  doc.set("session", spec_.id);
-  doc.set("algo", engine_->algo());
-  doc.set("steps", steps_);
-  doc.set("engine", engine_->checkpoint());
-  return doc;
+  std::string text = log_started_ ? std::string() : engine_->logHeader();
+  text += engine_->logRecord(evaluations_at_last_persist_);
+  return text;
 }
 
-void Session::restore(const Json& doc) {
-  MFBO_CHECK(steps_ == 0 && status_ == SessionStatus::kRunning,
+std::size_t Session::restore(std::string_view log) {
+  MFBO_CHECK(steps() == 0 && status_ == SessionStatus::kRunning,
              "restore() on a session that has already run");
-  checkEnvelope(doc, kCheckpointFormat, spec_.id, engine_->algo());
-  MFBO_CHECK(doc.contains("steps") && doc.at("steps").isNumber(),
-             "session checkpoint is missing its step count");
-  MFBO_CHECK(doc.contains("engine"),
-             "session checkpoint is missing the engine state");
-  const double steps = doc.at("steps").asNumber();
-  MFBO_CHECK(steps >= 0 && steps == static_cast<double>(
-                                        static_cast<std::size_t>(steps)),
-             "session checkpoint step count must be a non-negative integer");
-  // The replay retrains surrogates; that work is this session's.
+  // The replay re-runs the session's steps; that work is this session's.
   const telemetry::TelemetryScope metrics_scope(metrics_);
   const spans::ArenaScope arena_scope(arena_);
   const eventlog::ScopedSession journal_label(spec_.id);
-  engine_->restore(doc.at("engine"));
-  steps_ = static_cast<std::size_t>(steps);
-  steps_at_last_persist_ = steps_;
+  const std::size_t replayed = engine_->replay(log);
+  log_started_ = replayed > 0;
+  steps_at_last_persist_ = steps();
+  evaluations_at_last_persist_ = engine_->evaluations();
   eventlog::record(eventlog::EventKind::kCheckpointRestore, "checkpoint",
-                   nullptr, static_cast<std::int64_t>(steps_));
+                   nullptr, static_cast<std::int64_t>(steps()));
+  return replayed;
+}
+
+void Session::notePersisted() {
+  steps_at_last_persist_ = steps();
+  evaluations_at_last_persist_ = engine_->evaluations();
+  log_started_ = true;
 }
 
 void Session::adoptResult(const Json& doc) {
-  MFBO_CHECK(steps_ == 0 && status_ == SessionStatus::kRunning,
+  MFBO_CHECK(steps() == 0 && status_ == SessionStatus::kRunning,
              "adoptResult() on a session that has already run");
-  checkEnvelope(doc, kResultFormat, spec_.id, engine_->algo());
+  checkEnvelope(doc, spec_.id, engine_->algo());
   MFBO_CHECK(doc.contains("result"),
              "session result document is missing the result payload");
   result_doc_ = doc;
@@ -188,7 +179,7 @@ Json Session::artifactJson(bool include_timing) {
     doc.set("session", spec_.id);
     doc.set("algo", engine_->algo());
     doc.set("status", sessionStatusName(status_));
-    doc.set("steps", steps_);
+    doc.set("steps", steps());
     if (status_ == SessionStatus::kDone)
       doc.set("result", result_doc_.at("result"));
   }
@@ -206,9 +197,9 @@ Json Session::healthJson() {
   doc.set("session", spec_.id);
   doc.set("algo", engine_->algo());
   doc.set("status", sessionStatusName(status_));
-  doc.set("steps", steps_);
+  doc.set("steps", steps());
   doc.set("iterations", engine_->iterationCount());
-  doc.set("checkpoint_age_steps", steps_ - steps_at_last_persist_);
+  doc.set("checkpoint_age_steps", steps() - steps_at_last_persist_);
   const double budget = engine_->costBudget();
   const double spent = engine_->costSpent();
   doc.set("cost_spent", Json::number(spent));
@@ -246,7 +237,7 @@ void Session::complete() {
   result_doc_.set("result", bo::synthesisResultToJson(result));
   status_ = SessionStatus::kDone;
   eventlog::record(eventlog::EventKind::kSessionDone, nullptr, nullptr,
-                   static_cast<std::int64_t>(steps_));
+                   static_cast<std::int64_t>(steps()));
 }
 
 }  // namespace mfbo::service

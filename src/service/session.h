@@ -11,17 +11,20 @@
 // directly: a session's --no-timing artifact is byte-identical solo vs.
 // among 8 concurrent sessions at any thread count.
 //
-// Resume semantics mirror the engine's (bo/engine.h): a restored session
-// reproduces the *result* bytes of the uninterrupted run exactly, but not
-// its metrics or span counters — replay retrains models without re-running
-// simulations or acquisition searches. Crash-recovery comparisons
-// therefore use resultJson(); the solo-vs-concurrent comparisons, which
-// never resume, use the full artifactJson().
+// Persistence is the engine's run log (bo/engine.h): checkpoint() returns
+// the bytes the current boundary appends to it, and restore() replays a
+// persisted log. A restored session reproduces the *result* bytes of the
+// uninterrupted run exactly, but not its metrics or span counters — replay
+// serves logged evaluations instead of simulating, and replayed steps run
+// outside the session_step span. Crash-recovery comparisons therefore use
+// resultJson(); the solo-vs-concurrent comparisons, which never resume,
+// use the full artifactJson().
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "bo/engine.h"
 #include "bo/problem.h"
@@ -43,7 +46,7 @@ using EngineFactory =
 
 /// Everything needed to (re)create a session. The factories outlive the
 /// construction call: crash recovery rebuilds a fresh engine through them
-/// and replays the persisted checkpoint into it.
+/// and replays the persisted run log into it.
 struct SessionSpec {
   std::string id;  ///< [A-Za-z0-9_-]+; doubles as the recovery file stem
   ProblemFactory problem;
@@ -72,7 +75,7 @@ class Session {
   SessionStatus status() const { return status_; }
   bool done() const { return status_ == SessionStatus::kDone; }
   /// Engine steps executed by this session (restored across recovery).
-  std::size_t steps() const { return steps_; }
+  std::size_t steps() const { return engine_->steps(); }
 
   /// Advance the engine one state, under the session scopes and the
   /// "session_step" span. Requires kRunning; flips to kDone (capturing the
@@ -82,16 +85,17 @@ class Session {
   void pause();   ///< kRunning → kPaused
   void resume();  ///< kPaused → kRunning
 
-  /// Session-enveloped Engine::checkpoint() at the current boundary:
-  /// {"format":"mfbo-session-checkpoint","version":1,"session":id,
-  ///  "algo":...,"steps":...,"engine":{...}}. Not callable once done.
-  Json checkpoint() const;
+  /// The bytes the current boundary appends to this session's run log: the
+  /// engine's header line while nothing has been persisted, then one
+  /// Engine::logRecord() line covering the evaluations since the last
+  /// notePersisted(). Not callable once done.
+  std::string checkpoint() const;
 
-  /// Reinstate a checkpoint() document into this freshly constructed
-  /// session (same spec). Envelope or engine-state mismatches — wrong
-  /// format, session id, algorithm, or any corruption the engine's replay
-  /// validation catches — are a ContractViolation.
-  void restore(const Json& doc);
+  /// Replay a persisted run log into this freshly constructed session
+  /// (same spec) through Engine::replay(). Returns the length of the
+  /// replayed prefix: an unterminated final line after it is not part of
+  /// the log. Any mismatch the replay catches is a ContractViolation.
+  std::size_t restore(std::string_view log);
 
   /// Adopt a persisted resultJson() document for a session that completed
   /// before a crash: validates the envelope and flips straight to kDone
@@ -119,10 +123,11 @@ class Session {
   /// histogram, so the document is operator-facing, not byte-deterministic.
   Json healthJson();
 
-  /// Mark the current step count as persisted. SessionManager calls this
-  /// after every successful persistNow(); feeds healthJson()'s
-  /// checkpoint_age_steps gauge.
-  void notePersisted() { steps_at_last_persist_ = steps_; }
+  /// Mark the current boundary as persisted. SessionManager calls this
+  /// after every successful persistNow(): the next checkpoint() starts
+  /// after it, and healthJson()'s checkpoint_age_steps gauge counts from
+  /// it.
+  void notePersisted();
 
  private:
   void complete();
@@ -135,8 +140,9 @@ class Session {
   std::unique_ptr<bo::Problem> problem_;
   std::unique_ptr<bo::Engine> engine_;
   SessionStatus status_ = SessionStatus::kRunning;
-  std::size_t steps_ = 0;
   std::size_t steps_at_last_persist_ = 0;
+  std::size_t evaluations_at_last_persist_ = 0;
+  bool log_started_ = false;  ///< the log on disk has its header line
   Json result_doc_;
 };
 

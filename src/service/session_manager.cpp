@@ -34,9 +34,8 @@ std::optional<std::string> readFileIfExists(const std::string& path) {
   return text;
 }
 
-/// Crash-safe write: the document lands under a temporary name and is
-/// renamed over the target, so a kill mid-write leaves either the old
-/// boundary or the new one on disk — never a torn file.
+/// The result document lands under a temporary name and is renamed over
+/// the target, so a kill mid-write leaves no torn result behind.
 void writeFileAtomic(const std::string& path, const std::string& text) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -48,6 +47,23 @@ void writeFileAtomic(const std::string& path, const std::string& text) {
   MFBO_CHECK(ok, "failed to write session recovery file '", tmp, "'");
   MFBO_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
              "failed to publish session recovery file '", path, "'");
+}
+
+/// One run-log append, in a single write. A failed append is cut back off,
+/// so a later successful one cannot bury a torn line inside the log.
+void appendFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  MFBO_CHECK(f != nullptr, "cannot open '", path, "' for appending");
+  const long before =
+      std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1L;
+  const bool wrote = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const bool ok = (std::fclose(f) == 0) && wrote;
+  if (!ok && before >= 0) {
+    std::error_code ec;
+    std::filesystem::resize_file(path, static_cast<std::uintmax_t>(before),
+                                 ec);
+  }
+  MFBO_CHECK(ok, "failed to append to session recovery file '", path, "'");
 }
 
 }  // namespace
@@ -72,16 +88,20 @@ Session& SessionManager::create(SessionSpec spec) {
     // Recovery is id-keyed, never directory-scanned: filesystem iteration
     // order is unspecified, and the set of sessions to serve is the
     // caller's knowledge, not the disk's. A completed run is adopted from
-    // its result document; an in-flight one replays its last checkpoint.
-    // Either path throwing (tampered bytes, foreign envelope, replay
-    // mismatch) aborts only THIS create() — the manager and its other
-    // sessions are untouched.
+    // its result document; an in-flight one replays its run log. Either
+    // path throwing (tampered bytes, foreign envelope, replay mismatch)
+    // aborts only THIS create() — the manager and its other sessions are
+    // untouched.
     const memstats::PauseScope alloc_pause;
+    const std::string log_path = checkpointPath(session->id());
     if (const auto result = readFileIfExists(resultPath(session->id()))) {
       session->adoptResult(Json::parse(*result));
-    } else if (const auto ckpt =
-                   readFileIfExists(checkpointPath(session->id()))) {
-      session->restore(Json::parse(*ckpt));
+    } else if (const auto log = readFileIfExists(log_path)) {
+      // Bytes past the replayed prefix are an append cut short by a kill;
+      // cut them off so the next append starts a line.
+      const std::size_t replayed = session->restore(*log);
+      if (replayed < log->size())
+        std::filesystem::resize_file(log_path, replayed);
     }
   }
   sessions_.push_back(std::move(session));
@@ -188,8 +208,7 @@ void SessionManager::persistNow(Session& session) {
     eventlog::record(eventlog::EventKind::kCheckpointPersist, "result",
                      nullptr, static_cast<std::int64_t>(session.steps()));
   } else {
-    writeFileAtomic(checkpointPath(session.id()),
-                    session.checkpoint().dump());
+    appendFile(checkpointPath(session.id()), session.checkpoint());
     eventlog::record(eventlog::EventKind::kCheckpointPersist, "checkpoint",
                      nullptr, static_cast<std::int64_t>(session.steps()));
   }

@@ -15,14 +15,18 @@
 // matter how expensive its steps are.
 //
 // Crash recovery: with a checkpoint directory configured, the manager
-// persists each session's checkpoint() every checkpoint_every steps
-// (atomically: write-to-temp + rename) and its resultJson() at completion.
-// Recovery is id-keyed, never directory-scanned: create() with the same
-// SessionSpec finds `<dir>/<id>.result.json` (adopt, already done) or
-// `<dir>/<id>.ckpt.json` (replay-restore) and otherwise starts fresh — so
-// a process killed at any scheduler boundary restarts every in-flight
-// session from its last persisted boundary, and the recovered results are
-// byte-identical to an uninterrupted run.
+// appends each session's checkpoint() — one run-log line — to
+// `<dir>/<id>.ckpt.json` every checkpoint_every steps, and writes its
+// resultJson() to `<dir>/<id>.result.json` (write-to-temp + rename) at
+// completion. The log is only ever appended to, in one write per line;
+// a kill mid-append leaves an unterminated final line, which recovery
+// ignores and cuts off before the next append. Nothing is fsynced, so
+// the guarantee covers process kills, not power loss. Recovery is
+// id-keyed, never directory-scanned: create() with the same SessionSpec
+// finds the result (adopt, already done) or the log (replay) and
+// otherwise starts fresh — so a process killed at any scheduler boundary
+// restarts every in-flight session from its last persisted boundary, and
+// the recovered results are byte-identical to an uninterrupted run.
 //
 // Threading: the manager itself is single-driver — all calls come from one
 // thread; parallelism comes from the pool underneath each step. This is
@@ -56,9 +60,10 @@ class SessionManager {
 
   /// Create (or recover) the session for @p spec. Ids must be unique
   /// within the manager. With persistence configured, a persisted result
-  /// or checkpoint for this id is loaded before the session is admitted;
-  /// a corrupted document is a ContractViolation and the session is NOT
-  /// admitted — other sessions are unaffected.
+  /// or run log for this id is loaded before the session is admitted; a
+  /// corrupted or mismatched file is a ContractViolation (or a parse
+  /// error) and the session is NOT admitted — other sessions are
+  /// unaffected.
   Session& create(SessionSpec spec);
 
   /// Lookup by id; unknown ids are a ContractViolation (find() below is
@@ -82,7 +87,7 @@ class SessionManager {
   void pause(const std::string& id);
   void resume(const std::string& id);
 
-  /// Persist @p id's current boundary immediately (checkpoint, or the
+  /// Persist @p id's current boundary immediately (a run-log line, or the
   /// result document once done). Requires persistence configured.
   void persist(const std::string& id);
 

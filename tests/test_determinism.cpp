@@ -326,63 +326,4 @@ TEST(BenchDeterminism, RunRepeatsMatchesSequentialAddLoop) {
             pooled.median_result.best_eval.objective);
 }
 
-// --- explicit RNG stream-state save/restore (the checkpoint substrate) ---
-
-TEST(RngState, RoundTripReproducesTheDrawSequence) {
-  linalg::Rng rng(42);
-  for (int i = 0; i < 37; ++i) rng.uniform();  // advance into the stream
-  const std::string token = rng.saveState();
-  std::vector<double> expected;
-  for (int i = 0; i < 16; ++i) expected.push_back(rng.uniform());
-  for (int i = 0; i < 16; ++i) expected.push_back(rng.normal());
-
-  linalg::Rng other(7);  // different seed, different position
-  other.normal();
-  other.restoreState(token);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(other.uniform(), expected[i]);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(other.normal(), expected[16 + i]);
-}
-
-TEST(RngState, TokenIsVersioned) {
-  EXPECT_EQ(linalg::Rng(1).saveState().rfind("rng-v1 ", 0), 0u);
-}
-
-TEST(RngState, NormalCachedPairSurvivesTheRoundTrip) {
-  // normal_distribution generates in pairs and caches the second draw; the
-  // token must carry that cache or restored streams desync by one normal.
-  linalg::Rng rng(11);
-  rng.normal();  // leaves a cached second value inside the distribution
-  const std::string token = rng.saveState();
-  const double next = rng.normal();
-  linalg::Rng other(99);
-  other.restoreState(token);
-  EXPECT_EQ(other.normal(), next);
-}
-
-TEST(RngState, SplitStreamsSurviveTheRoundTrip) {
-  linalg::Rng rng(5);
-  for (int i = 0; i < 9; ++i) rng.uniform();
-  const std::string token = rng.saveState();
-  linalg::Rng a = rng.split(3);
-  linalg::Rng restored(0);
-  restored.restoreState(token);
-  linalg::Rng b = restored.split(3);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(a.uniform(), b.uniform());
-}
-
-TEST(RngState, RestoreRejectsCorruptTokens) {
-  linalg::Rng rng(1);
-  const std::string good = rng.saveState();
-  EXPECT_THROW(rng.restoreState(""), ContractViolation);
-  EXPECT_THROW(rng.restoreState("rng-v2 1 2 3"), ContractViolation);
-  EXPECT_THROW(rng.restoreState("rng-v1"), ContractViolation);
-  EXPECT_THROW(rng.restoreState("rng-v1 not-a-number"), ContractViolation);
-  EXPECT_THROW(rng.restoreState(good + " trailing"), ContractViolation);
-  // A rejected token must not have clobbered the stream: the good token
-  // still round-trips.
-  rng.restoreState(good);
-  linalg::Rng fresh(1);
-  EXPECT_EQ(rng.uniform(), fresh.uniform());
-}
-
 }  // namespace

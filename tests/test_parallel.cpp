@@ -342,20 +342,6 @@ TEST(TelemetryRace, CounterHammeringLosesNoIncrements) {
   EXPECT_EQ(counter.value(), kTasks * kPerTask);
 }
 
-TEST(TelemetryRace, TimerHammeringKeepsExactCount) {
-  const ScopedThreads threads(8);
-  telemetry::Timer& timer = telemetry::timer("test.parallel.timer_hammer");
-  timer.reset();
-  constexpr std::size_t kTasks = 1000;
-  parallel::parallelFor(kTasks, [&](std::size_t i) {
-    timer.record(1e-6 * static_cast<double>(i + 1));
-  });
-  EXPECT_EQ(timer.count(), kTasks);
-  EXPECT_GT(timer.totalSeconds(), 0.0);
-  EXPECT_DOUBLE_EQ(timer.minSeconds(), 1e-6);
-  EXPECT_DOUBLE_EQ(timer.maxSeconds(), 1e-6 * kTasks);
-}
-
 TEST(TelemetryRace, RegistryLookupsFromWorkersAreSafe) {
   const ScopedThreads threads(8);
   parallel::parallelFor(500, [&](std::size_t i) {

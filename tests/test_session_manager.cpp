@@ -2,14 +2,16 @@
 // (no session starves another), solo-vs-8-concurrent byte-identity of the
 // --no-timing artifacts at 1 and 4 threads (the per-session telemetry
 // registry and span arena in action), kill-at-every-scheduler-boundary
-// crash recovery through the persisted checkpoints, completed-run adoption
-// from result documents, and the pause/resume/destroy lifecycle contracts.
+// crash recovery through the persisted run logs (torn final lines
+// included), completed-run adoption from result documents, and the
+// pause/resume/destroy lifecycle contracts.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,6 +105,13 @@ std::string uniqueDir(const std::string& stem) {
 
 bool fileExists(const std::string& path) {
   return std::ifstream(path).good();
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
 }
 
 // --- session lifecycle ---------------------------------------------------
@@ -303,6 +312,48 @@ TEST(SessionManager, KillAtEverySchedulerBoundaryRecoversEverySession) {
           << "session " << ids[i] << " diverged after a kill at boundary "
           << boundary << "/" << total_steps;
   }
+}
+
+TEST(SessionManager, TornFinalLineIsCutBeforeTheNextAppend) {
+  ScopedThreads threads(1);
+  const double kBudget = 4.5;  // long enough to outlast the rounds below
+  std::string reference;
+  {
+    SessionManager manager;
+    manager.create(makeSpec("torn", 111, 1, kBudget));
+    manager.runAll();
+    reference = manager.session("torn").resultJson().dump();
+  }
+  SessionManagerOptions options;
+  options.checkpoint_dir = uniqueDir("torn");
+  const std::string log_path = options.checkpoint_dir + "/torn.ckpt.json";
+  {
+    SessionManager manager(options);
+    manager.create(makeSpec("torn", 111, 1, kBudget));
+    for (int round = 0; round < 8; ++round) manager.stepRound();
+  }
+  // A kill mid-append leaves the last line without its tail.
+  std::string log = readFile(log_path);
+  const std::size_t whole = log.rfind('\n', log.size() - 2) + 1;
+  log.resize(log.size() - 5);
+  std::ofstream(log_path, std::ios::binary | std::ios::trunc) << log;
+
+  {
+    SessionManager recovered(options);
+    Session& session = recovered.create(makeSpec("torn", 111, 1, kBudget));
+    EXPECT_EQ(session.steps(), 7u) << "resumes from the line before the tear";
+    EXPECT_EQ(std::filesystem::file_size(log_path), whole)
+        << "the torn line must be cut off before the next append";
+    recovered.stepRound();
+    recovered.stepRound();
+    ASSERT_FALSE(session.done());
+  }
+  // The appends after the cut extend a whole log: it replays, and the run
+  // completes byte-identically.
+  SessionManager again(options);
+  EXPECT_EQ(again.create(makeSpec("torn", 111, 1, kBudget)).steps(), 9u);
+  again.runAll();
+  EXPECT_EQ(again.session("torn").resultJson().dump(), reference);
 }
 
 TEST(SessionManager, CompletedSessionIsAdoptedFromItsResultDocument) {

@@ -99,80 +99,18 @@ TEST(Metrics, CounterAccumulatesAndResets) {
   EXPECT_EQ(c.value(), 0u);  // reference survives the reset
 }
 
-TEST(Metrics, TimerTracksMoments) {
-  telemetry::Timer& t = telemetry::timer("test.metrics.timer");
-  t.reset();
-  t.record(2.0);
-  t.record(0.5);
-  t.record(1.0);
-  EXPECT_EQ(t.count(), 3u);
-  EXPECT_DOUBLE_EQ(t.totalSeconds(), 3.5);
-  EXPECT_DOUBLE_EQ(t.minSeconds(), 0.5);
-  EXPECT_DOUBLE_EQ(t.maxSeconds(), 2.0);
-  EXPECT_NEAR(t.meanSeconds(), 3.5 / 3.0, 1e-15);
-}
-
-TEST(Metrics, TimerQuantilesAreExactBelowReservoirCap) {
-  telemetry::Timer& t = telemetry::timer("test.metrics.quantiles");
-  t.reset();
-  // 100 samples 0.01..1.00: nearest-rank quantiles are exact while the
-  // reservoir (cap 512) still holds every sample.
-  for (int i = 1; i <= 100; ++i) t.record(0.01 * i);
-  EXPECT_DOUBLE_EQ(t.quantileSeconds(0.0), 0.01);
-  EXPECT_DOUBLE_EQ(t.quantileSeconds(0.5), 0.50);
-  EXPECT_DOUBLE_EQ(t.quantileSeconds(0.95), 0.95);
-  EXPECT_DOUBLE_EQ(t.quantileSeconds(1.0), 1.00);
-}
-
-TEST(Metrics, TimerQuantilesStayOrderedPastReservoirCap) {
-  telemetry::Timer& t = telemetry::timer("test.metrics.quantiles_big");
-  t.reset();
-  // 10x the reservoir capacity: quantiles become sampled estimates, but
-  // they must stay within the observed range and monotone in q.
-  for (std::size_t i = 0; i < 10 * telemetry::Timer::kReservoirCap; ++i)
-    t.record(1.0 + 0.001 * static_cast<double>(i % 1000));
-  const double p50 = t.quantileSeconds(0.5);
-  const double p95 = t.quantileSeconds(0.95);
-  EXPECT_GE(p50, t.minSeconds());
-  EXPECT_LE(p95, t.maxSeconds());
-  EXPECT_LE(p50, p95);
-}
-
-TEST(Metrics, TimerQuantilesAreSeedStable) {
-  // Two timers fed the same stream agree exactly: the reservoir uses a
-  // private deterministic generator, reseeded by reset().
-  telemetry::Timer& a = telemetry::timer("test.metrics.quantiles_a");
-  telemetry::Timer& b = telemetry::timer("test.metrics.quantiles_b");
-  a.reset();
-  b.reset();
-  for (int i = 0; i < 2000; ++i) {
-    const double v = 0.5 + 0.25 * std::sin(0.1 * i);
-    a.record(v);
-    b.record(v);
-  }
-  for (const double q : {0.0, 0.25, 0.5, 0.75, 0.95, 1.0})
-    EXPECT_DOUBLE_EQ(a.quantileSeconds(q), b.quantileSeconds(q));
-}
-
-TEST(Metrics, ScopedTimerRecordsOneSample) {
-  telemetry::Timer& t = telemetry::timer("test.metrics.scoped");
-  t.reset();
-  { telemetry::ScopedTimer scope(t); }
-  EXPECT_EQ(t.count(), 1u);
-  EXPECT_GE(t.totalSeconds(), 0.0);
-}
-
 TEST(Metrics, SnapshotContainsRegisteredMetrics) {
   telemetry::counter("test.metrics.snap_counter").add(7);
   telemetry::gauge("test.metrics.snap_gauge").set(2.5);
-  telemetry::timer("test.metrics.snap_timer").record(0.25);
+  telemetry::histogram("test.metrics.snap_latency").record(0.25);
   const Json snap = telemetry::metricsSnapshot();
   EXPECT_EQ(snap.at("counters").at("test.metrics.snap_counter").asNumber(),
             7.0);
   EXPECT_EQ(snap.at("gauges").at("test.metrics.snap_gauge").asNumber(), 2.5);
-  const Json& timer = snap.at("timers").at("test.metrics.snap_timer");
-  EXPECT_EQ(timer.at("count").asNumber(), 1.0);
-  EXPECT_EQ(timer.at("total_s").asNumber(), 0.25);
+  const Json& latency =
+      snap.at("histograms").at("test.metrics.snap_latency");
+  EXPECT_EQ(latency.at("count").asNumber(), 1.0);
+  EXPECT_EQ(latency.at("total_s").asNumber(), 0.25);
   // dump() of the snapshot parses back.
   EXPECT_NO_THROW(Json::parse(snap.dump()));
 }
