@@ -9,13 +9,15 @@
 //   --threads N  thread count for the parallel execution layer (positive
 //                integer; 1 = fully serial; default MFBO_THREADS env var
 //                or hardware concurrency)
-//   --no-timing  zero wall-clock fields and drop the timers section from
-//                the --out artifact, making same-seed artifacts
+//   --no-timing  zero wall-clock fields and drop peak RSS and span times
+//                from the --out artifact, making same-seed artifacts
 //                byte-identical at any thread count
 //   --out FILE   write a machine-readable JSON artifact with the per-run
 //                results and a telemetry metrics snapshot
 //   --spans      enable the hierarchical span profiler; the --out artifact
-//                gains a "spans" phase tree (timing-free under --no-timing)
+//                gains a "spans" phase tree carrying every library counter
+//                (timing-free under --no-timing). Without it the artifact
+//                holds no counts.
 //   --trace FILE write a JSONL event trace (run_start/iteration/run_end)
 //                for tools/run_report.py; exits 2 on an unwritable path
 //   --timeline FILE
@@ -62,7 +64,7 @@ struct BenchConfig {
   std::string trace;     // JSONL trace path; empty = no trace
   std::string timeline;  // Perfetto trace-event path; empty = no timeline
   // Keeps the installed trace sink alive for the whole bench run (the
-  // registry borrows it); copied along with the config.
+  // process-wide sink slot borrows it); copied along with the config.
   std::shared_ptr<telemetry::TraceWriter> trace_writer;
 
   std::size_t runs(std::size_t quick_default, std::size_t full_default) const {
@@ -277,7 +279,7 @@ inline Json artifactHeader(const BenchConfig& cfg, const std::string& bench,
 /// path. Exits with an error when the file cannot be written — a bench
 /// asked for an artifact it silently failed to produce would poison
 /// downstream comparisons. No-op when --out was not given. Under
-/// --no-timing the snapshot omits the wall-clock timers section, so the
+/// --no-timing the snapshot omits peak RSS and span wall times, so the
 /// artifact bytes depend only on the seed, not the thread count.
 inline void writeArtifactFile(const BenchConfig& cfg, Json doc) {
   if (cfg.out.empty()) return;

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/json.h"
+#include "common/spans.h"
 #include "common/telemetry.h"
 
 namespace mfbo::bo {
@@ -202,24 +203,16 @@ Vector maximizeAcquisitionMsp(const opt::ScalarObjective& acquisition,
   // policy (random LHS / τ_l scatter / τ_h scatter / caller-provided seeds
   // such as x*_l) is only worth its cost if the non-random starts win.
   // composeStarts lays the list out as [random | τ_l | τ_h | extra].
-  telemetry::Counter& won_random =
-      telemetry::counter("bo.msp.best_start_random");
-  telemetry::Counter& won_tau_l =
-      telemetry::counter("bo.msp.best_start_tau_l");
-  telemetry::Counter& won_tau_h =
-      telemetry::counter("bo.msp.best_start_tau_h");
-  telemetry::Counter& won_seed =
-      telemetry::counter("bo.msp.best_start_seed");
   const std::size_t tau_l_end = n_random + n_tau_l;  // n_tau_* are already 0
   const std::size_t tau_h_end = tau_l_end + n_tau_h;  // without an incumbent
   if (r.best_start < n_random) {
-    won_random.add();
+    spans::addCounter("bo.msp.best_start_random");
   } else if (r.best_start < tau_l_end) {
-    won_tau_l.add();
+    spans::addCounter("bo.msp.best_start_tau_l");
   } else if (r.best_start < tau_h_end) {
-    won_tau_h.add();
+    spans::addCounter("bo.msp.best_start_tau_h");
   } else {
-    won_seed.add();
+    spans::addCounter("bo.msp.best_start_seed");
   }
   return r.x;
 }

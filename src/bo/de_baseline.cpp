@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo::bo {
 
@@ -27,10 +26,6 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
   Rng rng(seed);
   const spans::ScopedSpan run_span("de");
   traceRunStart("de", problem, seed, options_.max_sims);
-  telemetry::Counter& generations_total =
-      telemetry::counter("bo.de.generations");
-  telemetry::Counter& replacements_total =
-      telemetry::counter("bo.de.replacements");
 
   CostTracker tracker(problem.costRatio());
   std::vector<HistoryEntry> history;
@@ -56,7 +51,7 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
   std::size_t generation = 0;
   while (budget_left()) {
     ++generation;
-    generations_total.add();
+    spans::addCounter("bo.de.generations");
     for (std::size_t i = 0; i < np && budget_left(); ++i) {
       const auto picks = rng.distinctIndices(3, np, i);
       const Vector& a = pop[picks[0]];
@@ -73,7 +68,7 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
       if (dominatesByDeb(trial_eval, evals[i])) {
         pop[i] = std::move(trial);
         evals[i] = trial_eval;
-        replacements_total.add();
+        spans::addCounter("bo.de.replacements");
       }
     }
 

@@ -12,7 +12,6 @@
 #include "common/eventlog.h"
 #include "common/parallel.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo::bo {
 
@@ -521,10 +520,6 @@ MfboEngine::MfboEngine(Problem& problem, std::uint64_t seed,
              options_.gamma);
   MFBO_CHECK(options_.batch_size >= 1, "batch_size must be >= 1, got ",
              options_.batch_size);
-  // The sequential loop registered its metrics at run() entry; registering
-  // at construction keeps them in the snapshots of zero-iteration runs too.
-  telemetry::counter("bo.mfbo.iterations");
-  telemetry::counter("bo.mfbo.budget_downgrades");
 }
 
 SynthesisResult MfboEngine::run() {
@@ -636,8 +631,6 @@ void MfboEngine::handleFitSurrogate() {
 }
 
 void MfboEngine::handlePropose() {
-  telemetry::Counter& iterations_total =
-      telemetry::counter("bo.mfbo.iterations");
   // Inputs proposed earlier in this batch; slot s dedupes against them so a
   // fantasy cannot re-propose (and singularize) an unevaluated sibling.
   Dataset pending_points;
@@ -645,7 +638,7 @@ void MfboEngine::handlePropose() {
   for (std::size_t s = 0; s < options_.batch_size; ++s) {
     if (s > 0 && projected + minStepCost() > budget() + 1e-9) break;
     ++iteration_;
-    iterations_total.add();
+    spans::addCounter("bo.mfbo.iterations");
     if (s == 1) makeFantasies();
     if (s > 0) applyLiar(pending_.back());
     ProposedSlot slot = proposeSlot(s, projected, pending_points);
@@ -662,8 +655,6 @@ ProposedSlot MfboEngine::proposeSlot(std::size_t slot_index,
                                      const Dataset& pending_points) {
   MFBO_DCHECK(slot_index < options_.batch_size, "slot ", slot_index,
               " out of range for batch size ", options_.batch_size);
-  telemetry::Counter& downgrades_total =
-      telemetry::counter("bo.mfbo.budget_downgrades");
   const Models& models = activeModels();
 
   const auto feas_low = low_.bestFeasible();
@@ -776,7 +767,7 @@ ProposedSlot MfboEngine::proposeSlot(std::size_t slot_index,
   if (f == Fidelity::kHigh && projected_cost + 1.0 > options_.budget + 1e-9) {
     f = Fidelity::kLow;
     downgraded = true;
-    downgrades_total.add();
+    spans::addCounter("bo.mfbo.budget_downgrades");
   }
   // Journal the eq. (11)/(12) outcome: the fidelity schedule is the one
   // decision an MF-BO operator audits over time, and the trace fields
@@ -852,11 +843,7 @@ Json MfboEngine::optionsJson() const {
 
 WeiboEngine::WeiboEngine(Problem& problem, std::uint64_t seed,
                          WeiboOptions options)
-    : Engine(problem, seed), options_(std::move(options)) {
-  // See the MfboEngine constructor: registered here (the sequential loop
-  // registered at run() entry) for zero-iteration snapshot parity.
-  telemetry::counter("bo.weibo.iterations");
-}
+    : Engine(problem, seed), options_(std::move(options)) {}
 
 SynthesisResult WeiboEngine::run() {
   const spans::ScopedSpan run_span("weibo");
@@ -916,10 +903,8 @@ void WeiboEngine::handleFitSurrogate() {
 }
 
 void WeiboEngine::handlePropose() {
-  telemetry::Counter& iterations_total =
-      telemetry::counter("bo.weibo.iterations");
   ++iteration_;
-  iterations_total.add();
+  spans::addCounter("bo.weibo.iterations");
 
   const auto feasible_idx = high_.bestFeasible();
   const bool ff = nc_ > 0 && !feasible_idx && options_.use_first_feasible;

@@ -9,7 +9,6 @@
 #include "bo/acquisition.h"
 #include "common/check.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo::bo {
 
@@ -42,10 +41,6 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
   Rng rng(seed);
   const spans::ScopedSpan run_span("gaspad");
   traceRunStart("gaspad", problem, seed, options_.max_sims);
-  telemetry::Counter& iterations_total =
-      telemetry::counter("bo.gaspad.iterations");
-  telemetry::Counter& children_total =
-      telemetry::counter("bo.gaspad.children_screened");
 
   CostTracker tracker(problem.costRatio());
   std::vector<HistoryEntry> history;
@@ -85,7 +80,7 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
   std::size_t iteration = 0;
   while (tracker.cost() + 1.0 <= options_.max_sims + 1e-9) {
     ++iteration;
-    iterations_total.add();
+    spans::addCounter("bo.gaspad.iterations");
     // Elite parent pool.
     const auto order = meritOrder(data);
     const std::size_t pop =
@@ -144,7 +139,6 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
 
     spans::addCounter("children_screened", children.size());
     phase_span.reset();
-    children_total.add(children.size());
     evaluate(dedupeCandidate(std::move(best_child), data, unit, rng));
 
     const bool retrain = options_.retrain_every <= 1 ||

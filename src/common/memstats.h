@@ -16,7 +16,7 @@
 //     initialization, thread start/teardown, and (re-entrantly) from the
 //     allocator the observability layer itself uses.
 //   * Accounting is suppressible per thread via PauseScope. The
-//     observability machinery (span arenas, telemetry registries, the pool,
+//     observability machinery (span arenas, artifact snapshots, the pool,
 //     the timeline recorder) wraps its own allocations in a PauseScope so
 //     instrumentation overhead never shows up as workload memory — the one
 //     property that keeps the counters identical across thread counts.
@@ -26,8 +26,8 @@
 //
 // peakRssBytes() reads the kernel-maintained process high-water mark
 // (getrusage ru_maxrss). It is machine- and run-dependent by nature, so
-// telemetry::metricsSnapshot() surfaces it only alongside the wall-clock
-// timers, never in the deterministic --no-timing artifact fields.
+// telemetry::metricsSnapshot() surfaces it only alongside the span wall
+// times, never in the deterministic --no-timing artifact fields.
 #pragma once
 
 #include <cstddef>

@@ -13,7 +13,6 @@
 #include "common/eventlog.h"
 #include "common/memstats.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo {
 namespace parallel {
@@ -32,11 +31,6 @@ struct Job {
   std::size_t grain = 1;
   std::size_t chunks_total = 0;
   std::size_t worker_cap = 0;  ///< pool workers allowed in (caller excluded)
-
-  /// The caller's active metrics registry at submission time. Workers
-  /// install it for the job's duration so telemetry bumped inside bodies
-  /// lands in the scoping session's registry (common/telemetry.h).
-  telemetry::MetricsRegistry* metrics_registry = nullptr;
 
   std::atomic<std::size_t> next{0};     ///< next unclaimed index
   std::atomic<std::size_t> entered{0};  ///< workers that joined this job
@@ -125,7 +119,6 @@ class Pool {
       job->grain = grain;
       job->chunks_total = (n + grain - 1) / grain;
       job->worker_cap = threads - 1;
-      job->metrics_registry = telemetry::detail::activeRegistry();
       g_pooled_regions.fetch_add(1, std::memory_order_relaxed);
       g_queue_remaining.store(job->chunks_total, std::memory_order_relaxed);
 
@@ -146,7 +139,11 @@ class Pool {
     job->chunks_done += executed;
     job->done_cv.wait(lock,
                       [&] { return job->chunks_done == job->chunks_total; });
-    const std::exception_ptr error = job->error;
+    // Take the exception out of the job so it is released on this thread.
+    // A worker may drop the last Job reference after the caller's handler
+    // has read the exception; freed there, ThreadSanitizer reports a race,
+    // as the exception's refcount lives in the uninstrumented C++ runtime.
+    const std::exception_ptr error = std::move(job->error);
     std::vector<spans::SpanNode*> captured;
     captured.swap(job->captured_spans);
     lock.unlock();
@@ -195,19 +192,15 @@ class Pool {
       if (job != nullptr &&
           job->entered.fetch_add(1, std::memory_order_relaxed) <
               job->worker_cap) {
-        // Resolve telemetry against the caller's registry for the job's
-        // duration: a session's parallel bodies must bump the session's
-        // counters, not whichever registry this shared worker last saw.
-        telemetry::MetricsRegistry* const saved_registry =
-            telemetry::detail::exchangeActiveRegistry(job->metrics_registry);
-        // Record this worker's spans into a private arena handed back to
-        // the caller with (and under the same lock as) the completion
-        // count, so the caller's done_cv wait covers the span hand-off.
+        // Record this worker's spans and span counters into a private
+        // arena handed back to the caller with (and under the same lock as)
+        // the completion count, so the caller's done_cv wait covers the
+        // hand-off. The caller merges it into its own innermost span — a
+        // session's arena when a session submitted the job.
         const spans::detail::WorkerCapture capture =
             spans::detail::beginWorkerCapture();
         const std::size_t executed = drainJob(*job);
         spans::SpanNode* tree = spans::detail::endWorkerCapture(capture);
-        telemetry::detail::exchangeActiveRegistry(saved_registry);
         bool complete = false;
         {
           // The hand-off vector is pool machinery, not workload memory.

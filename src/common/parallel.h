@@ -24,11 +24,12 @@
 //     (or from the caller's share of an active region) executes inline on
 //     the current thread, so composed parallel code cannot deadlock or
 //     oversubscribe.
-//   * Telemetry scope propagation. The caller's active metrics registry
-//     (telemetry::TelemetryScope) is captured per region and installed on
-//     every worker for the job's duration, so counters bumped inside
-//     parallel bodies land in the scoping session's registry — not the
-//     global one — even though the pool threads are shared by all sessions.
+//   * Span capture. Every worker records the spans and span counters of
+//     the bodies it runs into a private arena that the calling thread
+//     merges into its innermost open span at region end, so counters
+//     bumped inside parallel bodies land where the serial path would put
+//     them — in the submitting session's arena, even though the pool
+//     threads are shared by all sessions (common/spans.h).
 //
 // Thread count resolution, per region: setMaxThreads(n) override (the bench
 // --threads flag) > the MFBO_THREADS environment variable > hardware

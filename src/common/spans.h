@@ -1,18 +1,18 @@
 // mfbo — hierarchical span profiler with phase attribution.
 //
-// The paper's headline claim is wall-clock efficiency. Flat counters and
-// timers (common/telemetry.h) cannot answer *where* an iteration's time
-// goes — GP refit, MC integration, the MSP search, or the simulator —
-// because they have no notion of nesting. This header adds the structure:
+// The paper's headline claim is wall-clock efficiency. Flat totals cannot
+// answer *where* an iteration's time goes — GP refit, MC integration, the
+// MSP search, or the simulator. This header adds the structure:
 //
 //   * ScopedSpan — RAII frame on a thread-local span stack. Spans with the
 //     same name under the same parent aggregate into one node (call count,
 //     total wall time); distinct call paths stay distinct, so the snapshot
 //     is a tree of phases, not a flat list. Self time is derived at
 //     serialization: total minus the children's totals.
-//   * Per-span counters — addCounter() attributes an event (a simulator
-//     invocation, a Cholesky jitter retry) to the innermost open span, so
-//     "how many sims did acq_high trigger" falls out of the tree.
+//   * Per-span counters — the library's only counters. addCounter()
+//     attributes an event (a simulator invocation, a jitter retry) to the
+//     innermost open span, so "how many sims did acq_high trigger" falls
+//     out of the tree; a total is the counter summed over the tree.
 //   * Off-by-default behind a single branch — when disabled (the default),
 //     ScopedSpan's constructor is one relaxed atomic load, no allocation.
 //   * Memory attribution — every span boundary snapshots the thread-local

@@ -14,7 +14,6 @@
 #include "common/json.h"
 #include "common/memstats.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo {
 namespace timeline {
@@ -155,12 +154,8 @@ void stop() {
   bool ok = std::fwrite(text.data(), 1, text.size(), stream) == text.size();
   ok = std::fputc('\n', stream) != EOF && ok;
   ok = std::fclose(stream) == 0 && ok;
-  if (!ok) {
-    // Timeline plumbing is process infrastructure, not session workload:
-    // record the failure globally regardless of any active TelemetryScope.
-    telemetry::globalMetrics().counter("timeline.write_errors").add();
+  if (!ok)
     std::fprintf(stderr, "mfbo: timeline write failed: %s\n", path.c_str());
-  }
 }
 
 namespace detail {

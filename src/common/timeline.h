@@ -42,9 +42,8 @@ void start(const std::string& path);
 bool recording();
 
 /// Serialize buffered events to the path given to start() and stop
-/// recording. No-op when not recording. Write failures warn on stderr and
-/// bump the telemetry counter "timeline.write_errors" rather than throw
-/// (stop() runs from atexit in the benches).
+/// recording. No-op when not recording. Write failures warn on stderr
+/// rather than throw (stop() runs from atexit in the benches).
 void stop();
 
 /// Number of buffered events (tests / introspection).

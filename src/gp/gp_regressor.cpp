@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo::gp {
 
@@ -109,17 +108,14 @@ void GpRegressor::addPoint(const Vector& x, double y, bool retrain) {
     train(/*warm_start=*/true);
     return;
   }
-  telemetry::Counter& incremental_updates =
-      telemetry::counter("gp.addpoint_incremental");
-  telemetry::Counter& incremental_fallbacks =
-      telemetry::counter("gp.addpoint_incremental_fallback");
   if (config_.incremental && chol_ != nullptr &&
       chol_->dim() + 1 == x_.size() && y_std_.size() + 1 == x_.size() &&
       extendPosterior()) {
-    incremental_updates.add();
+    spans::addCounter("gp.addpoint_incremental");
     return;
   }
-  if (config_.incremental && chol_ != nullptr) incremental_fallbacks.add();
+  if (config_.incremental && chol_ != nullptr)
+    spans::addCounter("gp.addpoint_incremental_fallback");
   rebuildPosterior();
 }
 
@@ -154,15 +150,6 @@ void GpRegressor::validateData(const std::vector<Vector>& x,
 }
 
 void GpRegressor::train(bool warm_start) {
-  telemetry::Counter& fit_calls = telemetry::counter("gp.fit_calls");
-  telemetry::Counter& nlml_evals = telemetry::counter("gp.nlml_evals");
-  telemetry::Counter& poisoned_not_pd =
-      telemetry::counter("gp.train.poisoned_not_pd");
-  telemetry::Counter& poisoned_nonfinite =
-      telemetry::counter("gp.train.poisoned_nonfinite");
-  telemetry::Counter& fallback_prior =
-      telemetry::counter("gp.train.fallback_to_prior");
-  fit_calls.add();
   const spans::ScopedSpan train_span("gp_train");
 
   // Standardize targets for this training set.
@@ -213,7 +200,7 @@ void GpRegressor::train(bool warm_start) {
         const std::unique_ptr<Kernel> kernel = kernel_->clone();
         opt::GradObjective objective = [&, p](const Vector& theta,
                                               Vector* grad) -> double {
-          nlml_evals.add();
+          spans::addCounter("gp.nlml_evals");
           Vector kp(p);
           for (std::size_t i = 0; i < p; ++i) kp[i] = theta[i];
           kernel->setParams(kp);
@@ -222,14 +209,14 @@ void GpRegressor::train(bool warm_start) {
                                             grad);
           } catch (const std::runtime_error&) {
             // Cholesky failure even with max jitter: poison this region.
-            poisoned_not_pd.add();
+            spans::addCounter("gp.train.poisoned_not_pd");
             if (grad) *grad = Vector(p + 1, std::nan(""));
             return std::nan("");
           } catch (const ContractViolation&) {
             // Non-finite NLML at an extreme hyperparameter corner (the
             // training data itself was validated at fit time): poison it
             // the same way.
-            poisoned_nonfinite.add();
+            spans::addCounter("gp.train.poisoned_nonfinite");
             if (grad) *grad = Vector(p + 1, std::nan(""));
             return std::nan("");
           }
@@ -251,7 +238,7 @@ void GpRegressor::train(bool warm_start) {
   if (best_theta.empty()) {
     // Every start failed (numerically hopeless data): keep defaults with a
     // large noise so the model degrades to the prior instead of crashing.
-    fallback_prior.add();
+    spans::addCounter("gp.train.fallback_to_prior");
     best_theta = starts.front();
     best_theta[p] = std::log(config_.max_noise_sd);
   }

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo::linalg {
 
@@ -51,13 +50,7 @@ Cholesky Cholesky::factorWithJitter(const Matrix& a, double initial_jitter,
   if (tryFactor(a, 0.0, l)) return Cholesky(std::move(l), 0.0);
   // Invisible-at-runtime numerics made visible: every rung of the jitter
   // ladder is a near-singular Gram matrix the GP layer had to paper over.
-  telemetry::Counter& jittered =
-      telemetry::counter("linalg.cholesky.jittered_factorizations");
-  telemetry::Counter& retries =
-      telemetry::counter("linalg.cholesky.jitter_retries");
-  telemetry::Counter& exhausted =
-      telemetry::counter("linalg.cholesky.jitter_exhausted");
-  jittered.add();
+  spans::addCounter("linalg.cholesky.jittered_factorizations");
   // Scale jitter relative to the mean diagonal so the retry ladder is
   // meaningful for both unit-variance and raw-scale covariances.
   double diag_mean = 0.0;
@@ -65,11 +58,10 @@ Cholesky Cholesky::factorWithJitter(const Matrix& a, double initial_jitter,
   diag_mean = std::abs(diag_mean) / static_cast<double>(a.rows());
   const double scale = diag_mean > 0.0 ? diag_mean : 1.0;
   for (double j = initial_jitter; j <= max_jitter * 1.0000001; j *= 10.0) {
-    retries.add();
     spans::addCounter("jitter_retries");
     if (tryFactor(a, j * scale, l)) return Cholesky(std::move(l), j * scale);
   }
-  exhausted.add();
+  spans::addCounter("linalg.cholesky.jitter_exhausted");
   throw std::runtime_error(
       "Cholesky: matrix not positive definite even with maximum jitter");
 }
@@ -81,10 +73,6 @@ bool Cholesky::appendRow(const Vector& b, double c) {
   MFBO_CHECK(b.allFinite() && std::isfinite(c),
              "extension column has non-finite entries");
   const spans::ScopedSpan append_span("cholesky_append");
-  telemetry::Counter& appended =
-      telemetry::counter("linalg.cholesky.appended_rows");
-  telemetry::Counter& rejected =
-      telemetry::counter("linalg.cholesky.append_rejected");
   // New off-diagonal row: l = L⁻¹ b (forward substitution, O(n²)); new
   // pivot: c + jitter − ‖l‖². Identical arithmetic to what tryFactor would
   // perform on the extended matrix, so a successful append agrees with a
@@ -92,7 +80,7 @@ bool Cholesky::appendRow(const Vector& b, double c) {
   const Vector l = solveLower(b);
   const double pivot = c + jitter_ - l.squaredNorm();
   if (!(pivot > 0.0) || !std::isfinite(pivot)) {
-    rejected.add();
+    spans::addCounter("linalg.cholesky.append_rejected");
     return false;
   }
   Matrix grown(n + 1, n + 1);
@@ -101,7 +89,7 @@ bool Cholesky::appendRow(const Vector& b, double c) {
   for (std::size_t j = 0; j < n; ++j) grown(n, j) = l[j];
   grown(n, n) = std::sqrt(pivot);
   l_ = std::move(grown);
-  appended.add();
+  spans::addCounter("linalg.cholesky.appended_rows");
   return true;
 }
 

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo::mf {
 
@@ -65,9 +64,7 @@ void NargpModel::addLow(const Vector& x, double y, bool retrain) {
   // drift in the frozen training augmentation is folded in at the next
   // retrain. The eq. (10) draws are reused so the fused acquisition
   // surface stays fixed between model updates.
-  telemetry::Counter& frozen_low =
-      telemetry::counter("mf.nargp.incremental_add_low");
-  frozen_low.add();
+  spans::addCounter("mf.nargp.incremental_add_low");
 }
 
 void NargpModel::addHigh(const Vector& x, double y, bool retrain) {
@@ -82,9 +79,7 @@ void NargpModel::addHigh(const Vector& x, double y, bool retrain) {
   // Non-retrain fast path: existing rows keep their frozen augmentation;
   // only the new row is augmented (with the current µ_l) and appended to
   // the high GP's factor in O(n²). Draws are reused as in addLow.
-  telemetry::Counter& incremental_high =
-      telemetry::counter("mf.nargp.incremental_add_high");
-  incremental_high.add();
+  spans::addCounter("mf.nargp.incremental_add_high");
   const spans::ScopedSpan fit_high_span("fit_high");
   high_gp_.addPoint(augment(x, low_gp_.predict(x).mean), y,
                     /*retrain=*/false);
@@ -116,12 +111,6 @@ Prediction NargpModel::predictHigh(const Vector& x) const {
   MFBO_CHECK(high_gp_.fitted(), "model is not fitted");
   MFBO_DCHECK(x.size() == x_dim_, "input dim ", x.size(),
               " does not match x_dim ", x_dim_);
-  telemetry::Counter& predict_calls =
-      telemetry::counter("mf.nargp.predict_high_calls");
-  telemetry::Counter& mc_samples =
-      telemetry::counter("mf.nargp.mc_samples");
-  predict_calls.add();
-  mc_samples.add(config_.n_mc);
   // One span per predictHigh call, opened *outside* the parallel MC region:
   // per-chunk spans would count chunks, which depend on the thread count.
   const spans::ScopedSpan mc_span("mc_integration");

@@ -3,7 +3,6 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo::opt {
 
@@ -11,14 +10,6 @@ OptResult multistartMinimize(const ScalarObjective& f,
                              const std::vector<Vector>& starts, const Box& box,
                              const MultistartOptions& options) {
   MFBO_CHECK(!starts.empty(), "no starting points");
-  telemetry::Counter& msp_runs =
-      telemetry::counter("opt.multistart.runs");
-  telemetry::Counter& msp_starts =
-      telemetry::counter("opt.multistart.starts");
-  telemetry::Counter& msp_iterations =
-      telemetry::counter("opt.multistart.local_iterations");
-  telemetry::Counter& msp_evaluations =
-      telemetry::counter("opt.multistart.evaluations");
   const spans::ScopedSpan multistart_span("multistart");
 
   // One local refinement per task; each writes into its own slot, so the
@@ -51,10 +42,8 @@ OptResult multistartMinimize(const ScalarObjective& f,
   best.evaluations = total_evaluations;
   best.iterations = total_iterations;
 
-  msp_runs.add();
-  msp_starts.add(starts.size());
-  msp_iterations.add(total_iterations);
-  msp_evaluations.add(total_evaluations);
+  spans::addCounter("opt.multistart.local_iterations", total_iterations);
+  spans::addCounter("opt.multistart.evaluations", total_evaluations);
   return best;
 }
 

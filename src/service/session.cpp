@@ -65,10 +65,8 @@ Session::Session(SessionSpec spec) : spec_(std::move(spec)) {
              "' has no problem factory");
   MFBO_CHECK(spec_.engine != nullptr, "session '", spec_.id,
              "' has no engine factory");
-  // Construction runs under the session scopes: the engine constructors
-  // register their zero-iteration counters, and everything they allocate
-  // belongs to this session's tree — exactly as in a solo run.
-  const telemetry::TelemetryScope metrics_scope(metrics_);
+  // Construction runs under the session's arena: everything the factories
+  // allocate belongs to this session's tree — exactly as in a solo run.
   const spans::ArenaScope arena_scope(arena_);
   problem_ = spec_.problem();
   MFBO_CHECK(problem_ != nullptr, "session '", spec_.id,
@@ -83,7 +81,6 @@ Session::Session(SessionSpec spec) : spec_(std::move(spec)) {
 void Session::step() {
   MFBO_CHECK(status_ == SessionStatus::kRunning, "step() on a ",
              sessionStatusName(status_), " session");
-  const telemetry::TelemetryScope metrics_scope(metrics_);
   const spans::ArenaScope arena_scope(arena_);
   // Journal label outlives the step body: the engine's transition and
   // fidelity events recorded inside step() carry this session's id.
@@ -94,9 +91,8 @@ void Session::step() {
     // session_step > <algo> > <phase spans>: the algo span reproduces the
     // run-span nesting of Engine::run(), so a stepped session's tree
     // matches a solo run driven the same way. The latency sample feeds the
-    // health layer's SLO histogram (lookup per call — lint rule D005).
-    const telemetry::ScopedLatency latency(
-        telemetry::histogram("session.step_latency"));
+    // health layer's SLO histogram.
+    const telemetry::ScopedLatency latency(step_latency_);
     const spans::ScopedSpan step_span("session_step");
     const spans::ScopedSpan algo_span(engine_->algo());
     engine_->step();
@@ -132,7 +128,6 @@ std::size_t Session::restore(std::string_view log) {
   MFBO_CHECK(steps() == 0 && status_ == SessionStatus::kRunning,
              "restore() on a session that has already run");
   // The replay re-runs the session's steps; that work is this session's.
-  const telemetry::TelemetryScope metrics_scope(metrics_);
   const spans::ArenaScope arena_scope(arena_);
   const eventlog::ScopedSession journal_label(spec_.id);
   const std::size_t replayed = engine_->replay(log);
@@ -169,7 +164,6 @@ const Json& Session::resultJson() const {
 }
 
 Json Session::artifactJson(bool include_timing) {
-  const telemetry::TelemetryScope metrics_scope(metrics_);
   const spans::ArenaScope arena_scope(arena_);
   Json doc = Json::object();
   {
@@ -183,8 +177,8 @@ Json Session::artifactJson(bool include_timing) {
     if (status_ == SessionStatus::kDone)
       doc.set("result", result_doc_.at("result"));
   }
-  // Under the scopes, so the snapshot reads this session's registry and
-  // span arena (metricsSnapshot pauses allocation accounting itself).
+  // Under the arena scope, so the snapshot reads this session's span tree
+  // (metricsSnapshot pauses allocation accounting itself).
   doc.set("metrics", telemetry::metricsSnapshot(include_timing));
   return doc;
 }
@@ -206,8 +200,7 @@ Json Session::healthJson() {
   doc.set("cost_budget", Json::number(budget));
   doc.set("budget_fraction",
           Json::number(budget > 0.0 ? spent / budget : 0.0));
-  const telemetry::Histogram& latency =
-      metrics_.histogram("session.step_latency");
+  const telemetry::Histogram& latency = step_latency_;
   Json step_latency = Json::object();
   step_latency.set("count",
                    Json::number(static_cast<double>(latency.count())));
@@ -225,7 +218,7 @@ Json Session::healthJson() {
 }
 
 void Session::complete() {
-  // Called from step() with the scopes active; result serialization is
+  // Called from step() with the arena installed; result serialization is
   // reporting, not workload, so it stays out of the allocation counters.
   const memstats::PauseScope alloc_pause;
   const bo::SynthesisResult result = engine_->takeResult();

@@ -1,15 +1,16 @@
 // mfbo::service — one optimization session: an Engine plus the scoped
 // observability state that keeps it isolated from every other session.
 //
-// A Session owns its Problem, its Engine, a private telemetry registry
-// (common/telemetry.h) and a private span arena (common/spans.h). Every
-// entry into the engine — construction, step, restore, snapshot — happens
-// under a TelemetryScope + ArenaScope pair, so N sessions interleaving on
-// one driver thread and the shared worker pool accumulate counters, spans,
-// and allocation attribution exactly as if each had run alone. The
+// A Session owns its Problem, its Engine, a private span arena
+// (common/spans.h) and its step-latency histogram (common/telemetry.h).
+// Every entry into the engine — construction, step, restore, snapshot —
+// happens under an ArenaScope, so N sessions interleaving on one driver
+// thread and the shared worker pool accumulate spans, span counters, and
+// allocation attribution exactly as if each had run alone. The
 // byte-identity contract tests/test_session_manager.cpp enforces follows
 // directly: a session's --no-timing artifact is byte-identical solo vs.
-// among 8 concurrent sessions at any thread count.
+// among 8 concurrent sessions at any thread count. Counters, like spans,
+// are recorded only while the profiler is on.
 //
 // Persistence is the engine's run log (bo/engine.h): checkpoint() returns
 // the bytes the current boundary appends to it, and restore() replays a
@@ -65,8 +66,8 @@ const char* sessionStatusName(SessionStatus s);
 class Session {
  public:
   /// Validates the id ([A-Za-z0-9_-]+) and constructs the problem and
-  /// engine under this session's telemetry/span scopes, so construction-
-  /// time registrations and allocations are attributed to this session.
+  /// engine under this session's span arena, so construction-time
+  /// allocations are attributed to this session.
   explicit Session(SessionSpec spec);
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -77,7 +78,7 @@ class Session {
   /// Engine steps executed by this session (restored across recovery).
   std::size_t steps() const { return engine_->steps(); }
 
-  /// Advance the engine one state, under the session scopes and the
+  /// Advance the engine one state, under the session's span arena and the
   /// "session_step" span. Requires kRunning; flips to kDone (capturing the
   /// result) when the engine finishes.
   void step();
@@ -109,9 +110,9 @@ class Session {
   const Json& resultJson() const;
 
   /// Full observability artifact: status, steps, the result (once done),
-  /// and this session's metricsSnapshot — its private counters plus, when
-  /// the profiler is enabled, its span arena. With include_timing=false
-  /// the document is byte-deterministic for non-resumed runs at any thread
+  /// and this session's metricsSnapshot — with the profiler enabled, its
+  /// span arena and the counters in it. With include_timing=false the
+  /// document is byte-deterministic for non-resumed runs at any thread
   /// count and any degree of session interleaving.
   Json artifactJson(bool include_timing);
 
@@ -133,10 +134,10 @@ class Session {
   void complete();
 
   SessionSpec spec_;
-  // Scoping state is declared before the engine: references the engine
-  // holds into the registry must outlive it.
-  telemetry::MetricsRegistry metrics_;
+  // The arena is declared before the engine so it outlives everything the
+  // engine attributed to it.
   spans::SpanArena arena_;
+  telemetry::Histogram step_latency_;
   std::unique_ptr<bo::Problem> problem_;
   std::unique_ptr<bo::Engine> engine_;
   SessionStatus status_ = SessionStatus::kRunning;

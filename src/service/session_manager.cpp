@@ -1,9 +1,11 @@
 #include "service/session_manager.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
+#include <system_error>
 #include <utility>
 
 #include "common/check.h"
@@ -15,12 +17,19 @@ namespace mfbo::service {
 
 namespace {
 
-/// Whole-file read; nullopt when the file does not exist. Short reads and
-/// IO errors on an existing file are a ContractViolation — a half-written
-/// recovery document must fail loudly, not parse as garbage.
+/// Whole-file read; nullopt when the file does not exist. Any other open
+/// failure (a symlink loop, EACCES, EIO), short reads and IO errors are a
+/// ContractViolation — an unreadable recovery document must reject its
+/// session, not let it start over as if nothing had been persisted.
 std::optional<std::string> readFileIfExists(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
+  if (f == nullptr) {
+    const std::error_code error(errno, std::generic_category());
+    MFBO_CHECK(error == std::errc::no_such_file_or_directory,
+               "cannot open session recovery file '", path,
+               "': ", error.message());
+    return std::nullopt;
+  }
   std::string text;
   char buffer[4096];
   for (;;) {

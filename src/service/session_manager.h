@@ -61,9 +61,9 @@ class SessionManager {
   /// Create (or recover) the session for @p spec. Ids must be unique
   /// within the manager. With persistence configured, a persisted result
   /// or run log for this id is loaded before the session is admitted; a
-  /// corrupted or mismatched file is a ContractViolation (or a parse
-  /// error) and the session is NOT admitted — other sessions are
-  /// unaffected.
+  /// corrupted, mismatched or unreadable file (any open error but ENOENT)
+  /// is a ContractViolation (or a parse error) and the session is NOT
+  /// admitted — other sessions are unaffected.
   Session& create(SessionSpec spec);
 
   /// Lookup by id; unknown ids are a ContractViolation (find() below is

@@ -1,19 +1,17 @@
-// Fixture: D005 fires on mutable static state in src/, including interned
-// telemetry handles (they pin the registry active at first call across
-// every later scope).
-namespace telemetry {
-struct Counter;
-Counter& counter(const char* name);
-}  // namespace telemetry
-
+// Fixture: D005 fires on mutable static state in src/, including a static
+// reference to shared mutable state (it binds whatever object the first
+// call saw, for the rest of the process).
 namespace demo {
+
+struct Tally;
+Tally& currentTally();
 
 static int call_count = 0;
 
 int bump() { return ++call_count; }
 
 void hit() {
-  static telemetry::Counter& hits = telemetry::counter("demo.hits");
+  static Tally& hits = currentTally();
   (void)hits;
 }
 

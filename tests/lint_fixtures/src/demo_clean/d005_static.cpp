@@ -1,19 +1,16 @@
 // Clean twin of d005: compile-time constant, no mutable process state, and
-// the post-sweep telemetry idiom — a function-local (non-static) handle
-// looked up per call, which follows the active registry scope.
-namespace telemetry {
-struct Counter;
-Counter& counter(const char* name);
-}  // namespace telemetry
-
+// a function-local (non-static) reference looked up per call.
 namespace demo {
+
+struct Tally;
+Tally& currentTally();
 
 constexpr int kMaxCalls = 64;
 
 int clampCalls(int n) { return n < kMaxCalls ? n : kMaxCalls; }
 
 void hit() {
-  telemetry::Counter& hits = telemetry::counter("demo.hits");
+  Tally& hits = currentTally();
   (void)hits;
 }
 

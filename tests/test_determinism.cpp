@@ -226,7 +226,6 @@ std::string readFile(const std::string& path) {
 /// clock. Mirrors what the table binaries do with
 /// `--quick --no-timing --out`.
 std::string benchArtifactBytes(const std::string& path) {
-  telemetry::resetMetrics();
   bench::BenchConfig cfg;
   cfg.seed = 42;
   cfg.timing = false;  // --no-timing
@@ -253,7 +252,8 @@ TEST(BenchDeterminism, NoTimingArtifactBytesMatchAcrossThreadCounts) {
 }
 
 /// benchArtifactBytes with the span profiler on — the `--spans --no-timing`
-/// artifact, now carrying per-span alloc_count/alloc_bytes counters.
+/// artifact, carrying the library's counters and the per-span
+/// alloc_count/alloc_bytes counters.
 std::string spanArtifactBytes(const std::string& path) {
   spans::reset();
   spans::setEnabled(true);
@@ -270,8 +270,10 @@ TEST(BenchDeterminism, SpanAllocCountersMatchAcrossThreadCounts) {
       4, [] { return spanArtifactBytes("det_spans_t4.json"); });
   EXPECT_EQ(serial, pooled)
       << "--spans --no-timing artifact bytes diverged across thread counts";
-  // The artifact actually carried the memory-attribution counters (and the
-  // nondeterministic RSS sample stayed out).
+  // The artifact actually carried the library and memory-attribution
+  // counters (and the nondeterministic RSS sample stayed out).
+  EXPECT_NE(serial.find("\"bo.mfbo.iterations\""), std::string::npos);
+  EXPECT_NE(serial.find("\"gp.nlml_evals\""), std::string::npos);
   EXPECT_NE(serial.find("\"alloc_count\""), std::string::npos);
   EXPECT_NE(serial.find("\"alloc_bytes\""), std::string::npos);
   EXPECT_EQ(serial.find("peak_rss_bytes"), std::string::npos);

@@ -380,20 +380,4 @@ TEST(EngineDeterminism, WeiboArtifactsMatchAcrossThreadCounts) {
   EXPECT_EQ(serial.trace, pooled.trace);
 }
 
-// --- telemetry parity ----------------------------------------------------
-
-TEST(EngineTelemetry, CountersAreRegisteredAtConstruction) {
-  // A constructed-but-never-run engine must still leave the loop counters
-  // visible in the snapshot (the sequential loop registered them at run()
-  // entry; zero-iteration tooling depends on their presence).
-  auto problem = quickProblem();
-  const bo::MfboEngine mfbo_engine(problem, 1, quickMfboOptions());
-  const bo::WeiboEngine weibo_engine(problem, 1, quickWeiboOptions());
-  const Json snapshot = telemetry::metricsSnapshot(false);
-  const Json& counters = snapshot.at("counters");
-  EXPECT_TRUE(counters.contains("bo.mfbo.iterations"));
-  EXPECT_TRUE(counters.contains("bo.mfbo.budget_downgrades"));
-  EXPECT_TRUE(counters.contains("bo.weibo.iterations"));
-}
-
 }  // namespace

@@ -1,6 +1,6 @@
 // Health-layer battery: the fixed-bucket latency Histogram (bucket-exact
-// quantiles, lock-free recording, registry integration), the per-session
-// and fleet health snapshots, and the Prometheus-style exposition writer.
+// quantiles, lock-free recording, ScopedLatency), the per-session and
+// fleet health snapshots, and the Prometheus-style exposition writer.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -98,6 +98,15 @@ TEST(Histogram, UnderflowOverflowAndGarbageLandInTheEdgeBuckets) {
   h.record(1e6);  // a megasecond: overflow bucket
   // The overflow bucket reports the last finite edge, bounded.
   EXPECT_NEAR(h.quantileSeconds(1.0), 1e3, 1e-6);
+  // Samples past the int64 nanosecond range land in the overflow bucket
+  // too, and the total stays finite and non-negative after each of them.
+  for (const double huge : {std::numeric_limits<double>::infinity(), 1e10}) {
+    h.record(huge);
+    EXPECT_NEAR(h.quantileSeconds(1.0), 1e3, 1e-6) << huge;
+    EXPECT_TRUE(std::isfinite(h.totalSeconds())) << huge;
+    EXPECT_GE(h.totalSeconds(), 0.0) << huge;
+  }
+  EXPECT_EQ(h.count(), 7u);
 }
 
 TEST(Histogram, QuantileArgumentIsContractChecked) {
@@ -116,39 +125,10 @@ TEST(Histogram, ResetZeroesEverything) {
   EXPECT_EQ(h.quantileSeconds(0.9), 0.0);
 }
 
-TEST(HistogramRegistry, LookupCreatesAndReferencesStayValid) {
-  telemetry::MetricsRegistry registry;
-  Histogram& h = registry.histogram("svc.latency");
-  h.record(0.5);
-  EXPECT_EQ(registry.histogram("svc.latency").count(), 1u);
-  registry.reset();
-  EXPECT_EQ(h.count(), 0u);  // same object, zeroed
-}
-
-TEST(HistogramRegistry, SnapshotIncludesHistogramsOnlyWithTimers) {
-  telemetry::MetricsRegistry registry;
-  registry.histogram("svc.latency").record(0.002);
-  const Json timed = registry.metricsJson(/*include_timers=*/true);
-  ASSERT_TRUE(timed.contains("histograms"));
-  const Json& entry = timed.at("histograms").at("svc.latency");
-  EXPECT_EQ(entry.at("count").asNumber(), 1.0);
-  EXPECT_GT(entry.at("p50_s").asNumber(), 0.0);
-  ASSERT_TRUE(entry.contains("p90_s"));
-  ASSERT_TRUE(entry.contains("p99_s"));
-  // Wall-clock sections are omitted from the deterministic artifact.
-  const Json untimed = registry.metricsJson(/*include_timers=*/false);
-  EXPECT_FALSE(untimed.contains("histograms"));
-  EXPECT_FALSE(untimed.contains("timers"));
-}
-
 TEST(HistogramRegistry, ScopedLatencyRecordsOneSample) {
-  telemetry::MetricsRegistry registry;
-  const telemetry::TelemetryScope scope(registry);
-  {
-    const telemetry::ScopedLatency latency(
-        telemetry::histogram("svc.latency"));
-  }
-  EXPECT_EQ(registry.histogram("svc.latency").count(), 1u);
+  Histogram h;
+  { const telemetry::ScopedLatency latency(h); }
+  EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(SessionHealth, SnapshotCarriesTheSloGauges) {

@@ -1,6 +1,6 @@
 // Thread-race battery for the deterministic parallel execution layer:
 // pool lifecycle, index coverage, ordered exception propagation, nested
-// regions, env-variable thread resolution, serial equivalence, telemetry
+// regions, env-variable thread resolution, serial equivalence, span-counter
 // hammering, and the Rng::split per-index stream contract.
 //
 // Every test restores the automatic thread resolution (setMaxThreads(0))
@@ -19,8 +19,9 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "common/parallel.h"
-#include "common/telemetry.h"
+#include "common/spans.h"
 #include "linalg/rng.h"
 
 namespace {
@@ -60,6 +61,19 @@ struct ScopedEnv {
   const char* name_;
   bool had_old_ = false;
   std::string old_;
+};
+
+/// RAII profiler switch: a fresh, enabled span tree for the test, discarded
+/// (and the profiler switched off) on exit.
+struct ScopedProfiler {
+  ScopedProfiler() {
+    spans::reset();
+    spans::setEnabled(true);
+  }
+  ~ScopedProfiler() {
+    spans::setEnabled(false);
+    spans::reset();
+  }
 };
 
 // --- thread-count resolution --------------------------------------------
@@ -329,72 +343,56 @@ TEST(SerialEquivalence, EnvThreadsOneTakesTheSerialPath) {
 }
 
 // --- telemetry hammering -------------------------------------------------
+// Span counters are the library's only counters. Counters bumped on pool
+// workers land in per-worker capture arenas that merge by name into the
+// submitting thread's open span.
 
 TEST(TelemetryRace, CounterHammeringLosesNoIncrements) {
   const ScopedThreads threads(8);
-  telemetry::Counter& counter = telemetry::counter("test.parallel.hammer");
-  counter.reset();
+  const ScopedProfiler profiler;
   constexpr std::size_t kTasks = 2000;
   constexpr int kPerTask = 50;
-  parallel::parallelFor(kTasks, [&](std::size_t) {
-    for (int k = 0; k < kPerTask; ++k) counter.add();
-  });
-  EXPECT_EQ(counter.value(), kTasks * kPerTask);
+  {
+    const spans::ScopedSpan region("region");
+    parallel::parallelFor(kTasks, [&](std::size_t) {
+      for (int k = 0; k < kPerTask; ++k)
+        spans::addCounter("test.parallel.hammer");
+    });
+  }
+  const Json snap = spans::snapshot(false);
+  EXPECT_EQ(snap.at("children")
+                .at("region")
+                .at("counters")
+                .at("test.parallel.hammer")
+                .asNumber(),
+            static_cast<double>(kTasks * kPerTask));
 }
 
 TEST(TelemetryRace, RegistryLookupsFromWorkersAreSafe) {
+  // Few distinct names, many concurrent lookups + inserts: every worker
+  // creates the names in its own arena and the merge adds them by name.
+  static const char* const kNames[] = {
+      "test.parallel.reg0", "test.parallel.reg1", "test.parallel.reg2",
+      "test.parallel.reg3", "test.parallel.reg4", "test.parallel.reg5",
+      "test.parallel.reg6"};
+  constexpr std::size_t kTasks = 500;
   const ScopedThreads threads(8);
-  parallel::parallelFor(500, [&](std::size_t i) {
-    // Few distinct names, many concurrent lookups + inserts.
-    telemetry::counter("test.parallel.reg" + std::to_string(i % 7)).add();
-  });
-  std::uint64_t total = 0;
-  for (int k = 0; k < 7; ++k)
-    total += telemetry::counter("test.parallel.reg" + std::to_string(k)).value();
-  EXPECT_EQ(total, 500u);
-}
-
-// --- telemetry scope propagation -----------------------------------------
-
-TEST(TelemetryScope, WorkerBumpsLandInTheCallersScopedRegistry) {
-  // The pool forwards the submitting thread's active registry to workers
-  // per job (the metrics twin of span capture): counters bumped inside a
-  // region land in the caller's scoped registry, never the global one.
-  const ScopedThreads threads(4);
-  telemetry::MetricsRegistry mine;
-  const std::uint64_t global_before =
-      telemetry::globalMetrics().counter("test.scope.worker").value();
+  const ScopedProfiler profiler;
   {
-    const telemetry::TelemetryScope scope(mine);
-    parallel::parallelFor(64, [](std::size_t) {
-      telemetry::counter("test.scope.worker").add();
+    const spans::ScopedSpan region("region");
+    parallel::parallelFor(kTasks, [&](std::size_t i) {
+      spans::addCounter(kNames[i % 7]);
     });
   }
-  EXPECT_EQ(mine.counter("test.scope.worker").value(), 64u);
-  EXPECT_EQ(telemetry::globalMetrics().counter("test.scope.worker").value(),
-            global_before);
-}
-
-TEST(TelemetryScope, WorkersRevertToTheJobsOwnerNotTheLastScope) {
-  // Two back-to-back regions under different scopes: each job carries its
-  // own registry, so a reused (persistent) worker must not leak the first
-  // job's registry into the second.
-  const ScopedThreads threads(4);
-  telemetry::MetricsRegistry first, second;
-  {
-    const telemetry::TelemetryScope scope(first);
-    parallel::parallelFor(32, [](std::size_t) {
-      telemetry::counter("test.scope.reuse").add();
-    });
+  const Json snap = spans::snapshot(false);
+  const Json& counters = snap.at("children").at("region").at("counters");
+  double total = 0.0;
+  for (std::size_t k = 0; k < 7; ++k) {
+    const double expected = static_cast<double>((kTasks - k + 6) / 7);
+    EXPECT_EQ(counters.at(kNames[k]).asNumber(), expected) << kNames[k];
+    total += counters.at(kNames[k]).asNumber();
   }
-  {
-    const telemetry::TelemetryScope scope(second);
-    parallel::parallelFor(32, [](std::size_t) {
-      telemetry::counter("test.scope.reuse").add();
-    });
-  }
-  EXPECT_EQ(first.counter("test.scope.reuse").value(), 32u);
-  EXPECT_EQ(second.counter("test.scope.reuse").value(), 32u);
+  EXPECT_EQ(total, static_cast<double>(kTasks));
 }
 
 // --- Rng::split ----------------------------------------------------------

@@ -1,18 +1,20 @@
 // Service-layer battery for SessionManager/Session: round-robin fairness
 // (no session starves another), solo-vs-8-concurrent byte-identity of the
-// --no-timing artifacts at 1 and 4 threads (the per-session telemetry
-// registry and span arena in action), kill-at-every-scheduler-boundary
-// crash recovery through the persisted run logs (torn final lines
-// included), completed-run adoption from result documents, and the
-// pause/resume/destroy lifecycle contracts.
+// --no-timing artifacts at 1 and 4 threads (the per-session span arena and
+// its counters in action), kill-at-every-scheduler-boundary crash recovery
+// through the persisted run logs (torn final lines, failed appends and
+// unreadable recovery files included), completed-run adoption from result
+// documents, and the pause/resume/destroy lifecycle contracts.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <sys/resource.h>
 #include <utility>
 #include <vector>
 
@@ -40,6 +42,58 @@ struct ScopedThreads {
   explicit ScopedThreads(std::size_t n) { parallel::setMaxThreads(n); }
   ~ScopedThreads() { parallel::setMaxThreads(0); }
 };
+
+/// Profiler on for one test, off and empty afterwards: session artifacts
+/// carry counters only while it is on.
+struct ScopedProfiler {
+  ScopedProfiler() {
+    spans::reset();
+    spans::setEnabled(true);
+  }
+  ~ScopedProfiler() {
+    spans::setEnabled(false);
+    spans::reset();
+  }
+};
+
+/// Caps the size of every file this process writes at @p bytes while
+/// alive, with SIGXFSZ ignored so a write past the cap fails with EFBIG
+/// instead of killing the process; restores both on destruction.
+struct ScopedFileSizeCap {
+  explicit ScopedFileSizeCap(std::size_t bytes)
+      : saved_handler(std::signal(SIGXFSZ, SIG_IGN)) {
+    if (getrlimit(RLIMIT_FSIZE, &saved) != 0) return;
+    rlimit capped = saved;
+    capped.rlim_cur = bytes;
+    installed = setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~ScopedFileSizeCap() {
+    if (installed) setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, saved_handler);
+  }
+  ScopedFileSizeCap(const ScopedFileSizeCap&) = delete;
+  ScopedFileSizeCap& operator=(const ScopedFileSizeCap&) = delete;
+
+  void (*saved_handler)(int);
+  rlimit saved{};
+  bool installed = false;
+};
+
+/// Sum of the counter @p name over every node of a span tree.
+double counterTotal(const Json& node, const std::string& name) {
+  double total = 0.0;
+  if (node.contains("counters") && node.at("counters").contains(name))
+    total += node.at("counters").at(name).asNumber();
+  if (node.contains("children"))
+    for (const auto& child : node.at("children").members())
+      total += counterTotal(child.second, name);
+  return total;
+}
+
+/// counterTotal over a session artifact's span tree.
+double artifactCounter(const Json& artifact, const std::string& name) {
+  return counterTotal(artifact.at("metrics").at("spans"), name);
+}
 
 /// Tiny-but-complete MFBO config: a few loop iterations, both fit paths
 /// (retrain_every = 2), both fidelities, and — with batch_size = 2 — the
@@ -117,6 +171,7 @@ std::string readFile(const std::string& path) {
 // --- session lifecycle ---------------------------------------------------
 
 TEST(Session, SoloRunCompletesAndReportsResultAndArtifact) {
+  const ScopedProfiler profiler;
   Session session(makeSpec("solo", 7));
   EXPECT_EQ(session.status(), SessionStatus::kRunning);
   EXPECT_EQ(session.steps(), 0u);
@@ -134,9 +189,8 @@ TEST(Session, SoloRunCompletesAndReportsResultAndArtifact) {
   EXPECT_EQ(artifact.at("status").asString(), "done");
   EXPECT_EQ(artifact.at("steps").asNumber(),
             static_cast<double>(session.steps()));
-  // The session's private registry carries the engine's counters.
-  EXPECT_TRUE(artifact.at("metrics").at("counters").contains(
-      "bo.mfbo.iterations"));
+  // The session's span arena carries the engine's counters.
+  EXPECT_GT(artifactCounter(artifact, "bo.mfbo.iterations"), 0.0);
 }
 
 TEST(Session, ContractViolationsOnMisuse) {
@@ -157,10 +211,10 @@ TEST(Session, ContractViolationsOnMisuse) {
 }
 
 TEST(Session, TwoInterleavedSessionsKeepTelemetrySeparate) {
-  // The PR-motivating bug: before per-session registries, two engines
-  // stepping in the same process interleaved their counters in one global
-  // store. Interleave two sessions step-by-step and require each one's
-  // counters to equal its solo run's.
+  // Two engines stepping in the same process must not interleave their
+  // counters. Interleave two sessions step-by-step and require each one's
+  // span tree and counters to equal its solo run's.
+  const ScopedProfiler profiler;
   const Json ref_a = soloArtifact(makeSpec("a", 21));
   const Json ref_b = soloArtifact(makeSpec("b", 22, 2));
   Session a(makeSpec("a", 21));
@@ -171,6 +225,8 @@ TEST(Session, TwoInterleavedSessionsKeepTelemetrySeparate) {
   }
   EXPECT_EQ(a.artifactJson(false).dump(), ref_a.dump());
   EXPECT_EQ(b.artifactJson(false).dump(), ref_b.dump());
+  EXPECT_GT(artifactCounter(ref_a, "bo.mfbo.iterations"), 0.0);
+  EXPECT_GT(artifactCounter(ref_b, "bo.mfbo.iterations"), 0.0);
 }
 
 // --- fairness ------------------------------------------------------------
@@ -205,7 +261,7 @@ TEST(SessionManager, EightConcurrentSessionsMatchSoloByteIdentical) {
   // The acceptance criterion: 8 concurrent sessions on a 4-thread pool
   // each produce a --no-timing artifact byte-identical to the same spec
   // run solo — counters, span trees, and per-span allocation attribution
-  // included. Run with the profiler on for full strength.
+  // included. Counters need the profiler on.
   spans::setEnabled(true);
   std::vector<std::string> solo;
   {
@@ -239,6 +295,8 @@ TEST(SessionManager, EightConcurrentSessionsMatchSoloByteIdentical) {
   ASSERT_EQ(pooled.size(), solo.size());
   ASSERT_EQ(serial.size(), solo.size());
   for (std::size_t i = 0; i < solo.size(); ++i) {
+    EXPECT_GT(artifactCounter(Json::parse(solo[i]), "bo.mfbo.iterations"),
+              0.0);
     EXPECT_EQ(pooled[i], solo[i]) << "session " << i
                                   << " diverged among 8 concurrent at t=4";
     EXPECT_EQ(serial[i], solo[i]) << "session " << i
@@ -354,6 +412,75 @@ TEST(SessionManager, TornFinalLineIsCutBeforeTheNextAppend) {
   EXPECT_EQ(again.create(makeSpec("torn", 111, 1, kBudget)).steps(), 9u);
   again.runAll();
   EXPECT_EQ(again.session("torn").resultJson().dump(), reference);
+}
+
+TEST(SessionManager, FailedAppendIsCutBackOffTheLog) {
+  ScopedThreads threads(1);
+  const double kBudget = 4.5;  // long enough to outlast the rounds below
+  std::string reference;
+  {
+    SessionManager manager;
+    manager.create(makeSpec("fsize", 121, 1, kBudget));
+    manager.runAll();
+    reference = manager.session("fsize").resultJson().dump();
+  }
+  SessionManagerOptions options;
+  options.checkpoint_dir = uniqueDir("fsize");
+  const std::string log_path = options.checkpoint_dir + "/fsize.ckpt.json";
+  {
+    SessionManager manager(options);
+    Session& session = manager.create(makeSpec("fsize", 121, 1, kBudget));
+    for (int round = 0; round < 4; ++round) manager.stepRound();
+    const std::string before = readFile(log_path);
+    ASSERT_FALSE(before.empty());
+    session.step();  // a boundary the log does not hold yet
+    {
+      // A file-size cap a few bytes past the log's end makes the append
+      // land partially and then fail.
+      const ScopedFileSizeCap cap(before.size() + 4);
+      ASSERT_TRUE(cap.installed);
+      EXPECT_THROW(manager.persist("fsize"), ContractViolation);
+    }
+    EXPECT_EQ(readFile(log_path), before)
+        << "the partial append must be cut back off";
+    // The next persist appends the same boundary, whole.
+    manager.persist("fsize");
+    const std::string after = readFile(log_path);
+    EXPECT_GT(after.size(), before.size());
+    EXPECT_EQ(after.compare(0, before.size(), before), 0);
+  }
+  SessionManager recovered(options);
+  EXPECT_EQ(recovered.create(makeSpec("fsize", 121, 1, kBudget)).steps(), 5u);
+  recovered.runAll();
+  EXPECT_EQ(recovered.session("fsize").resultJson().dump(), reference);
+}
+
+TEST(SessionManager, UnreadableRecoveryFileRejectsOnlyThatSession) {
+  ScopedThreads threads(1);
+  std::string reference;
+  {
+    SessionManager manager;
+    manager.create(makeSpec("fine", 131));
+    manager.runAll();
+    reference = manager.session("fine").resultJson().dump();
+  }
+  for (const std::string suffix : {".ckpt.json", ".result.json"}) {
+    SessionManagerOptions options;
+    options.checkpoint_dir = uniqueDir("unreadable" + suffix);
+    SessionManager manager(options);
+    // A self-referential symlink exists but cannot be opened (ELOOP), even
+    // by root — unlike a chmod'ed file. Only a missing file means "no
+    // recovery state"; this one must not be mistaken for it.
+    std::filesystem::create_symlink("loop" + suffix,
+                                    options.checkpoint_dir + "/loop" + suffix);
+    EXPECT_THROW(manager.create(makeSpec("loop", 132)), ContractViolation)
+        << suffix;
+    EXPECT_EQ(manager.size(), 0u) << suffix;
+    manager.create(makeSpec("fine", 131));
+    manager.runAll();
+    EXPECT_EQ(manager.session("fine").resultJson().dump(), reference)
+        << suffix;
+  }
 }
 
 TEST(SessionManager, CompletedSessionIsAdoptedFromItsResultDocument) {

@@ -314,6 +314,9 @@ TEST_F(SpanTest, ArenaCapturesWorkerSpansByteIdenticalAcrossThreads) {
       const spans::ArenaScope scope(arena);
       dump = spans::snapshot(false).dump();
     }
+    // Worker counters followed the job's caller into its arena; the
+    // thread's own tree saw none of them.
+    EXPECT_FALSE(spans::snapshot(false).contains("children"));
     parallel::setMaxThreads(0);
     return dump;
   };
@@ -412,14 +415,12 @@ TEST(SpanGoldenSchema, MetricsSnapshotAndTraceKeysDoNotDrift) {
     EXPECT_TRUE(end.contains(key)) << "run_end lost key: " << key;
 
   // Artifact metrics snapshot: spans tree present with the pinned node
-  // schema in both timing modes; phase wall times live in the span tree,
-  // so there is no separate timers section.
+  // schema in both timing modes; phase wall times and every counter live
+  // in the span tree, so there is no separate counter or timer section.
   for (const bool timing : {true, false}) {
     const Json snapshot = telemetry::metricsSnapshot(timing);
-    EXPECT_TRUE(snapshot.contains("counters"));
-    EXPECT_TRUE(snapshot.contains("gauges"));
-    EXPECT_FALSE(snapshot.contains("timers"));
-    EXPECT_EQ(snapshot.contains("histograms"), timing);
+    for (const char* gone : {"counters", "gauges", "histograms", "timers"})
+      EXPECT_FALSE(snapshot.contains(gone)) << gone;
     // Peak RSS is machine state: present only with the wall-clock fields,
     // never in the deterministic --no-timing artifact keys.
     EXPECT_EQ(snapshot.contains("peak_rss_bytes"), timing);
@@ -448,6 +449,9 @@ TEST(SpanGoldenSchema, MetricsSnapshotAndTraceKeysDoNotDrift) {
   const std::string tree_text = mfbo_node.dump();
   EXPECT_NE(tree_text.find("\"alloc_count\""), std::string::npos) << tree_text;
   EXPECT_NE(tree_text.find("\"alloc_bytes\""), std::string::npos) << tree_text;
+  // The library's counters ride in the same tree.
+  EXPECT_NE(tree_text.find("\"bo.mfbo.iterations\""), std::string::npos)
+      << tree_text;
 
   spans::setEnabled(false);
   spans::reset();

@@ -1,5 +1,5 @@
-// Tests for the telemetry subsystem: the Json value type, the metrics
-// registry, and the trace-sink plumbing — including the end-to-end
+// Tests for the telemetry subsystem: the Json value type, counters and the
+// metrics snapshot, and the trace-sink plumbing — including the end-to-end
 // guarantees the benches rely on: one `iteration` event per synthesis-loop
 // iteration, byte-identical traces across same-seed runs, and zero output
 // (and unchanged results) when no sink is installed.
@@ -15,6 +15,7 @@
 
 #include "bo/mfbo.h"
 #include "common/json.h"
+#include "common/spans.h"
 #include "common/telemetry.h"
 #include "problems/synthetic.h"
 
@@ -85,104 +86,59 @@ TEST(Json, ParseHandlesNestedDocuments) {
   EXPECT_TRUE(doc.at("c").at("d").isNull());
 }
 
-// --- Metrics registry ---------------------------------------------------
+// --- Counters and the metrics snapshot ---------------------------------
+
+/// Profiler on for one test, off and empty afterwards: library counters
+/// are span counters and exist only while it is on.
+struct ScopedProfiler {
+  ScopedProfiler() {
+    spans::reset();
+    spans::setEnabled(true);
+  }
+  ~ScopedProfiler() {
+    spans::setEnabled(false);
+    spans::reset();
+  }
+};
 
 TEST(Metrics, CounterAccumulatesAndResets) {
-  telemetry::Counter& c = telemetry::counter("test.metrics.counter");
-  c.reset();
-  c.add();
-  c.add(4);
-  EXPECT_EQ(c.value(), 5u);
-  // The registry hands back the same object for the same name.
-  EXPECT_EQ(&telemetry::counter("test.metrics.counter"), &c);
-  telemetry::resetMetrics();
-  EXPECT_EQ(c.value(), 0u);  // reference survives the reset
+  const ScopedProfiler profiler;
+  spans::addCounter("test.metrics.counter");
+  spans::addCounter("test.metrics.counter", 4);
+  EXPECT_EQ(spans::snapshot(false)
+                .at("counters")
+                .at("test.metrics.counter")
+                .asNumber(),
+            5.0);
+  // Counters reset with the span tree they live in.
+  spans::reset();
+  EXPECT_EQ(spans::snapshot(false).dump().find("test.metrics.counter"),
+            std::string::npos);
 }
 
 TEST(Metrics, SnapshotContainsRegisteredMetrics) {
-  telemetry::counter("test.metrics.snap_counter").add(7);
-  telemetry::gauge("test.metrics.snap_gauge").set(2.5);
-  telemetry::histogram("test.metrics.snap_latency").record(0.25);
-  const Json snap = telemetry::metricsSnapshot();
-  EXPECT_EQ(snap.at("counters").at("test.metrics.snap_counter").asNumber(),
-            7.0);
-  EXPECT_EQ(snap.at("gauges").at("test.metrics.snap_gauge").asNumber(), 2.5);
-  const Json& latency =
-      snap.at("histograms").at("test.metrics.snap_latency");
-  EXPECT_EQ(latency.at("count").asNumber(), 1.0);
-  EXPECT_EQ(latency.at("total_s").asNumber(), 0.25);
-  // dump() of the snapshot parses back.
-  EXPECT_NO_THROW(Json::parse(snap.dump()));
-}
-
-// --- Scoped registries ---------------------------------------------------
-
-TEST(MetricsScope, ScopedRegistryIsolatesFromGlobal) {
-  const std::uint64_t global_before =
-      telemetry::globalMetrics().counter("test.scope.iso").value();
-  telemetry::MetricsRegistry mine;
   {
-    const telemetry::TelemetryScope scope(mine);
-    telemetry::counter("test.scope.iso").add(3);
-    telemetry::gauge("test.scope.iso_gauge").set(1.5);
-  }
-  EXPECT_EQ(mine.counter("test.scope.iso").value(), 3u);
-  EXPECT_EQ(mine.gauge("test.scope.iso_gauge").value(), 1.5);
-  // The global registry never saw the scoped bumps, and bumps after the
-  // scope ends go back to it.
-  EXPECT_EQ(telemetry::globalMetrics().counter("test.scope.iso").value(),
-            global_before);
-  telemetry::counter("test.scope.iso").add();
-  EXPECT_EQ(telemetry::globalMetrics().counter("test.scope.iso").value(),
-            global_before + 1);
-  EXPECT_EQ(mine.counter("test.scope.iso").value(), 3u);
-}
-
-TEST(MetricsScope, ScopesNestAndRestoreExactly) {
-  telemetry::MetricsRegistry outer, inner;
-  {
-    const telemetry::TelemetryScope outer_scope(outer);
-    telemetry::counter("test.scope.nest").add();  // -> outer
+    const ScopedProfiler profiler;
     {
-      const telemetry::TelemetryScope inner_scope(inner);
-      telemetry::counter("test.scope.nest").add();  // -> inner
+      const spans::ScopedSpan phase("test_phase");
+      spans::addCounter("test.metrics.snap_counter", 7);
     }
-    telemetry::counter("test.scope.nest").add();  // -> outer again
+    const Json snap = telemetry::metricsSnapshot();
+    EXPECT_EQ(snap.at("spans")
+                  .at("children")
+                  .at("test_phase")
+                  .at("counters")
+                  .at("test.metrics.snap_counter")
+                  .asNumber(),
+              7.0);
+    // Peak RSS is machine state: present only in the timed snapshot.
+    EXPECT_GT(snap.at("peak_rss_bytes").asNumber(), 0.0);
+    EXPECT_FALSE(telemetry::metricsSnapshot(false).contains("peak_rss_bytes"));
+    // dump() of the snapshot parses back.
+    EXPECT_NO_THROW(Json::parse(snap.dump()));
   }
-  EXPECT_EQ(outer.counter("test.scope.nest").value(), 2u);
-  EXPECT_EQ(inner.counter("test.scope.nest").value(), 1u);
-}
-
-TEST(MetricsScope, SnapshotAndResetActOnTheActiveRegistry) {
-  telemetry::MetricsRegistry mine;
-  const telemetry::TelemetryScope scope(mine);
-  telemetry::counter("test.scope.snap").add(11);
-  const Json snap = telemetry::metricsSnapshot();
-  EXPECT_EQ(snap.at("counters").at("test.scope.snap").asNumber(), 11.0);
-  // A fresh scoped registry starts empty: no cross-talk from the global
-  // registry's accumulated names.
-  EXPECT_FALSE(snap.at("counters").contains("test.metrics.snap_counter"));
-  telemetry::resetMetrics();
-  EXPECT_EQ(mine.counter("test.scope.snap").value(), 0u);
-}
-
-TEST(MetricsScope, FunctionLocalHandlesFollowTheScope) {
-  // The pattern every instrumentation site uses after the global-state
-  // sweep: look the handle up per call, never cache it in a static. Two
-  // consecutive calls under different scopes must hit different registries.
-  const auto bump = [] { telemetry::counter("test.scope.handle").add(); };
-  telemetry::MetricsRegistry a, b;
-  {
-    const telemetry::TelemetryScope scope(a);
-    bump();
-  }
-  {
-    const telemetry::TelemetryScope scope(b);
-    bump();
-    bump();
-  }
-  EXPECT_EQ(a.counter("test.scope.handle").value(), 1u);
-  EXPECT_EQ(b.counter("test.scope.handle").value(), 2u);
+  // Profiler off: no span tree, so the deterministic snapshot is empty.
+  EXPECT_EQ(telemetry::metricsSnapshot(false).dump(), "{}");
 }
 
 // --- Trace sinks --------------------------------------------------------
@@ -349,9 +305,6 @@ TEST(Trace, WriterCountsWriteErrorsAndWarnsOnce) {
   // canonical disk-full simulation.
   std::FILE* full = std::fopen("/dev/full", "w");
   if (full == nullptr) GTEST_SKIP() << "/dev/full unavailable";
-  telemetry::Counter& errors =
-      telemetry::counter("telemetry.trace_write_errors");
-  errors.reset();
   {
     telemetry::TraceWriter writer(full);  // borrowed stream
     Json e = Json::object();
@@ -363,7 +316,6 @@ TEST(Trace, WriterCountsWriteErrorsAndWarnsOnce) {
     // Dropped events never count as written; every failure is counted.
     EXPECT_EQ(writer.eventsWritten(), 0u);
     EXPECT_EQ(writer.writeErrors(), 2u);
-    EXPECT_EQ(errors.value(), 2u);
     // Exactly one stderr warning per writer, not one per event.
     const std::string needle = "trace write failed";
     std::size_t occurrences = 0;
@@ -373,7 +325,6 @@ TEST(Trace, WriterCountsWriteErrorsAndWarnsOnce) {
     EXPECT_EQ(occurrences, 1u);
   }
   std::fclose(full);
-  errors.reset();
 }
 
 }  // namespace

@@ -16,8 +16,8 @@ Supports both artifact families the repo produces:
     deliberately in the exact class: they are thread-merged and
     byte-identical at any thread count, so a change means the workload's
     allocation behaviour changed. Machine-state fields (`peak_rss_bytes`)
-    and timeline-recorder telemetry (`timeline.*`) are ignored by
-    default — they vary run to run without meaning anything.
+    are ignored by default — they vary run to run without meaning
+    anything.
 
   * google-benchmark JSON (micro_gp, micro_circuit with
     `--benchmark_format=json`): benchmarks are matched by name and their
@@ -52,13 +52,11 @@ TIMING_KEY_RE = re.compile(r"(_s|_seconds)$")
 # Higher is better for these; regression direction flips.
 HIGHER_IS_BETTER = {"speedup"}
 # Machine-state and recorder-telemetry paths compared never, not exactly:
-# peak RSS is whatever the OS measured, timeline counters only exist when
-# a trace was recorded alongside the run, health snapshots and latency-
+# peak RSS is whatever the OS measured, health snapshots and latency-
 # histogram quantiles are wall-clock SLO data, and the flight recorder's
 # drop count depends on how much the wall-clock mode journalled.
 DEFAULT_IGNORE = (
     "*peak_rss*",
-    "*timeline.*",
     "health.*",
     "*.p50_s",
     "*.p90_s",

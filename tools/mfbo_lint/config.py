@@ -86,13 +86,8 @@ class Config:
     )
 
     # D005: mutable static state. common/ is the audited process-wide state
-    # layer (telemetry registries, the pool, span arenas); statics elsewhere
-    # in src/ need a suppression. Interned telemetry handles
-    # (`static telemetry::Counter& c = telemetry::counter(...)`) are flagged
-    # with a targeted message: since scoped registries (TelemetryScope), a
-    # static handle pins whichever registry was active at first call,
-    # leaking one session's counters into every later session. Look handles
-    # up per call with a function-local reference instead.
+    # layer (the trace sink, the pool, span arenas); statics elsewhere in
+    # src/ need a suppression.
     static_allowed: tuple[str, ...] = ("src/common",)
     # Only src/ carries the no-mutable-static invariant; tests and benches
     # own their processes.
@@ -201,27 +196,15 @@ class Config:
             "alloc counters workload-only",
         ),
         Coupling(
-            "src/common/parallel.cpp",
-            "exchangeActiveRegistry",
-            "pool workers must adopt the submitting thread's metrics "
-            "registry per job or scoped counters depend on the thread count",
-        ),
-        Coupling(
             "src/common/telemetry.cpp",
             "peakRssBytes",
             "metricsSnapshot() must report the process peak-RSS sample",
         ),
         Coupling(
             "src/service/session.cpp",
-            "TelemetryScope",
-            "every engine entry must run under the session's metrics "
-            "registry or concurrent sessions interleave their counters",
-        ),
-        Coupling(
-            "src/service/session.cpp",
             "ArenaScope",
             "every engine entry must run under the session's span arena or "
-            "concurrent sessions interleave their span trees",
+            "concurrent sessions interleave their span trees and counters",
         ),
         Coupling(
             "src/common/timeline.cpp",

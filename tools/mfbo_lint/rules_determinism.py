@@ -236,9 +236,6 @@ def check_d004(ctx: FileContext):
         )
 
 
-_TELEMETRY_HANDLES = {"Counter", "Gauge", "Histogram"}
-
-
 def check_d005(ctx: FileContext):
     """Mutable static / global state in src/ (outside common/)."""
     if not ctx.config.allowed(ctx.relpath, ctx.config.static_scope):
@@ -266,25 +263,6 @@ def check_d005(ctx: FileContext):
         if "const" in words or "constexpr" in words or "constinit" in words:
             continue
         if not decl:
-            continue
-        # Interned telemetry handles (`static telemetry::Counter& c = ...`)
-        # were once the documented idiom, but scoped registries made them a
-        # bug: the static binds the registry active at FIRST call forever,
-        # leaking one session's counters into every later session. They get
-        # a targeted message instead of an exemption.
-        if (
-            "telemetry" in words
-            and any(w in _TELEMETRY_HANDLES for w in words)
-            and any(d.kind == "punct" and d.value == "&" for d in decl)
-        ):
-            yield Finding(
-                "D005",
-                ctx.relpath,
-                t.line,
-                f"`{t.value}` telemetry handle pins the registry active at "
-                "first call across every later TelemetryScope; look the "
-                "handle up per call (function-local reference) instead",
-            )
             continue
         yield Finding(
             "D005",

@@ -31,10 +31,12 @@ cmake --build --preset release -j "$(nproc)" \
   --out "${out_dir}/BENCH_table1.json"
 
 # Self-normalizing artifacts: the speedup fields compare two legs run on
-# the same machine, so they stay meaningful on different hardware.
-"${build_dir}/bench/micro_parallel" --quick --threads 4 \
+# the same machine, so they stay meaningful on different hardware. --spans
+# (here and below) keeps the library's counters in the artifacts: every
+# counter is a span counter, recorded only while the profiler is on.
+"${build_dir}/bench/micro_parallel" --quick --threads 4 --spans \
   --out "${out_dir}/BENCH_micro_parallel.json"
-"${build_dir}/bench/micro_incremental" --quick \
+"${build_dir}/bench/micro_incremental" --quick --spans \
   --out "${out_dir}/BENCH_micro_incremental.json"
 
 # Deterministic batch-engine artifact plus the committed resume fixture:
@@ -42,7 +44,7 @@ cmake --build --preset release -j "$(nproc)" \
 # the identity flags, and the fixture bytes are a function of the seed
 # alone. The fixture feeds tests/test_checkpoint.cpp's cross-build restore
 # test; regenerate both together so they stay in step.
-"${build_dir}/bench/micro_batch" --quick --threads 4 --no-timing \
+"${build_dir}/bench/micro_batch" --quick --threads 4 --no-timing --spans \
   --dump-checkpoint tests/fixtures/resume_fixture.json \
   --out "${out_dir}/BENCH_micro_batch.json"
 
@@ -50,7 +52,7 @@ cmake --build --preset release -j "$(nproc)" \
 # solo-vs-concurrent identity flags are a function of the seed alone under
 # --no-timing; the wall-clock columns are zeroed, so the gate pins results
 # and scheduling shape (rounds, steps), not machine speed.
-"${build_dir}/bench/micro_sessions" --quick --threads 4 --no-timing \
+"${build_dir}/bench/micro_sessions" --quick --threads 4 --no-timing --spans \
   --out "${out_dir}/BENCH_micro_sessions.json"
 
 # google-benchmark timings; the perf gate normalizes by a reference
