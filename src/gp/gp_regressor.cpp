@@ -272,12 +272,13 @@ Prediction GpRegressor::predict(const Vector& x) const {
   MFBO_CHECK(fitted(), "model is not fitted");
   MFBO_DCHECK(x.size() == kernel_->inputDim(), "input dim ", x.size(),
               " does not match kernel dim ", kernel_->inputDim());
-  const Vector ks = kernel_->cross(x_, x);
+  Vector ks = kernel_->cross(x_, x);
   const double mu_z = dot(ks, alpha_);
-  // σ² = σ_n² + k(x,x) − k*ᵀ (K + σ_n² I)⁻¹ k*   (eq. 4)
-  const Vector v = chol_->solveLower(ks);
+  // σ² = σ_n² + k(x,x) − k*ᵀ (K + σ_n² I)⁻¹ k*   (eq. 4), with
+  // v = L⁻¹ k* solved in place over k*.
+  chol_->solveLowerInPlace(ks);
   double var_z = std::exp(2.0 * log_sigma_n_) + kernel_->eval(x, x) -
-                 v.squaredNorm();
+                 ks.squaredNorm();
   var_z = std::max(var_z, 1e-12);
   return {standardizer_.unapply(mu_z), standardizer_.unapplyVariance(var_z)};
 }

@@ -29,11 +29,24 @@ Vector Kernel::cross(const std::vector<Vector>& x,
 // ------------------------------------------------------------- SeArdKernel
 
 SeArdKernel::SeArdKernel(std::size_t dim, double sigma_f, double lengthscale)
-    : log_sigma_f_(std::log(sigma_f)), log_l_(dim, std::log(lengthscale)) {
+    : log_sigma_f_(std::log(sigma_f)),
+      log_l_(dim, std::log(lengthscale)),
+      inv_l_(dim),
+      inv_l_sq_(dim) {
   MFBO_CHECK(dim >= 1, "dim must be >= 1");
   MFBO_CHECK(sigma_f > 0.0 && lengthscale > 0.0,
              "scales must be positive, got sigma_f=", sigma_f,
              " lengthscale=", lengthscale);
+  refreshScales();
+}
+
+// Each cached value is the exact expression the evaluation loops need per
+// dimension, so reading it gives the bits evaluating it in place would.
+void SeArdKernel::refreshScales() {
+  for (std::size_t i = 0; i < log_l_.size(); ++i) {
+    inv_l_[i] = std::exp(-log_l_[i]);
+    inv_l_sq_[i] = std::exp(-2.0 * log_l_[i]);
+  }
 }
 
 Vector SeArdKernel::params() const {
@@ -48,6 +61,7 @@ void SeArdKernel::setParams(const Vector& p) {
              numParams());
   log_sigma_f_ = p[0];
   for (std::size_t i = 0; i < log_l_.size(); ++i) log_l_[i] = p[1 + i];
+  refreshScales();
 }
 
 std::string SeArdKernel::paramName(std::size_t i) const {
@@ -70,9 +84,7 @@ double SeArdKernel::eval(const Vector& a, const Vector& b) const {
               " vs kernel dim ", inputDim());
   double q = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const double diff = a[i] - b[i];
-    const double inv_l = std::exp(-log_l_[i]);
-    const double scaled = diff * inv_l;
+    const double scaled = (a[i] - b[i]) * inv_l_[i];
     q += scaled * scaled;
   }
   return std::exp(2.0 * log_sigma_f_ - 0.5 * q);
@@ -88,8 +100,6 @@ void SeArdKernel::accumulateWeightedGrad(const std::vector<Vector>& x,
              x.size(), "x", x.size());
   const std::size_t n = x.size();
   const std::size_t d = log_l_.size();
-  std::vector<double> inv_l2(d);
-  for (std::size_t i = 0; i < d; ++i) inv_l2[i] = std::exp(-2.0 * log_l_[i]);
   std::vector<double> scaled_sq(d);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -97,7 +107,7 @@ void SeArdKernel::accumulateWeightedGrad(const std::vector<Vector>& x,
       double q = 0.0;
       for (std::size_t t = 0; t < d; ++t) {
         const double diff = x[i][t] - x[j][t];
-        scaled_sq[t] = diff * diff * inv_l2[t];
+        scaled_sq[t] = diff * diff * inv_l_sq_[t];
         q += scaled_sq[t];
       }
       const double k = std::exp(2.0 * log_sigma_f_ - 0.5 * q);
@@ -118,8 +128,24 @@ NargpKernel::NargpKernel(std::size_t x_dim)
       log_sf2_(std::log(1.0)),
       log_l2_(x_dim, std::log(0.5)),
       log_sf3_(std::log(0.3)),
-      log_l3_(x_dim, std::log(0.5)) {
+      log_l3_(x_dim, std::log(0.5)),
+      inv_l2_(x_dim),
+      inv_l2_sq_(x_dim),
+      inv_l3_(x_dim),
+      inv_l3_sq_(x_dim) {
   MFBO_CHECK(x_dim >= 1, "x_dim must be >= 1");
+  refreshScales();
+}
+
+void NargpKernel::refreshScales() {
+  inv_l_rho_ = std::exp(-log_l_rho_);
+  inv_l_rho_sq_ = std::exp(-2.0 * log_l_rho_);
+  for (std::size_t i = 0; i < x_dim_; ++i) {
+    inv_l2_[i] = std::exp(-log_l2_[i]);
+    inv_l2_sq_[i] = std::exp(-2.0 * log_l2_[i]);
+    inv_l3_[i] = std::exp(-log_l3_[i]);
+    inv_l3_sq_[i] = std::exp(-2.0 * log_l3_[i]);
+  }
 }
 
 Vector NargpKernel::params() const {
@@ -142,6 +168,7 @@ void NargpKernel::setParams(const Vector& p) {
   for (std::size_t i = 0; i < x_dim_; ++i) log_l2_[i] = p[k++];
   log_sf3_ = p[k++];
   for (std::size_t i = 0; i < x_dim_; ++i) log_l3_[i] = p[k++];
+  refreshScales();
 }
 
 std::string NargpKernel::paramName(std::size_t i) const {
@@ -159,14 +186,13 @@ NargpKernel::Parts NargpKernel::evalParts(const Vector& a,
               "input dim mismatch: ", a.size(), ", ", b.size(),
               " vs kernel dim ", inputDim());
   const double dy = a[x_dim_] - b[x_dim_];
-  const double inv_lr = std::exp(-log_l_rho_);
-  const double k1 = std::exp(-0.5 * dy * dy * inv_lr * inv_lr);
+  const double k1 = std::exp(-0.5 * dy * dy * inv_l_rho_ * inv_l_rho_);
 
   double q2 = 0.0, q3 = 0.0;
   for (std::size_t i = 0; i < x_dim_; ++i) {
     const double diff = a[i] - b[i];
-    const double s2 = diff * std::exp(-log_l2_[i]);
-    const double s3 = diff * std::exp(-log_l3_[i]);
+    const double s2 = diff * inv_l2_[i];
+    const double s3 = diff * inv_l3_[i];
     q2 += s2 * s2;
     q3 += s3 * s3;
   }
@@ -176,7 +202,7 @@ NargpKernel::Parts NargpKernel::evalParts(const Vector& a,
 }
 
 double NargpKernel::k1Scalar(double y_a, double y_b) const {
-  const double dy = (y_a - y_b) * std::exp(-log_l_rho_);
+  const double dy = (y_a - y_b) * inv_l_rho_;
   return std::exp(-0.5 * dy * dy);
 }
 
@@ -192,8 +218,8 @@ void NargpKernel::crossXParts(const std::vector<Vector>& z,
     double q2 = 0.0, q3 = 0.0;
     for (std::size_t t = 0; t < x_dim_; ++t) {
       const double diff = x_star[t] - z[i][t];
-      const double s2 = diff * std::exp(-log_l2_[t]);
-      const double s3 = diff * std::exp(-log_l3_[t]);
+      const double s2 = diff * inv_l2_[t];
+      const double s3 = diff * inv_l3_[t];
       q2 += s2 * s2;
       q3 += s3 * s3;
     }
@@ -220,24 +246,18 @@ void NargpKernel::accumulateWeightedGrad(const std::vector<Vector>& x,
              "weight matrix is ", w.rows(), "x", w.cols(), ", expected ",
              x.size(), "x", x.size());
   const std::size_t n = x.size();
-  const double inv_lr2 = std::exp(-2.0 * log_l_rho_);
-  std::vector<double> inv_l2_sq(x_dim_), inv_l3_sq(x_dim_);
-  for (std::size_t i = 0; i < x_dim_; ++i) {
-    inv_l2_sq[i] = std::exp(-2.0 * log_l2_[i]);
-    inv_l3_sq[i] = std::exp(-2.0 * log_l3_[i]);
-  }
   std::vector<double> s2(x_dim_), s3(x_dim_);
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       const double dy = x[i][x_dim_] - x[j][x_dim_];
-      const double ry = dy * dy * inv_lr2;  // (Δy/l_ρ)²
+      const double ry = dy * dy * inv_l_rho_sq_;  // (Δy/l_ρ)²
       const double k1 = std::exp(-0.5 * ry);
       double q2 = 0.0, q3 = 0.0;
       for (std::size_t t = 0; t < x_dim_; ++t) {
         const double diff = x[i][t] - x[j][t];
-        s2[t] = diff * diff * inv_l2_sq[t];
-        s3[t] = diff * diff * inv_l3_sq[t];
+        s2[t] = diff * diff * inv_l2_sq_[t];
+        s3[t] = diff * diff * inv_l3_sq_[t];
         q2 += s2[t];
         q3 += s3[t];
       }

@@ -84,8 +84,14 @@ class SeArdKernel final : public Kernel {
   }
 
  private:
+  /// Recompute the inverse length scales from log_l_. Only the constructor
+  /// and setParams call it, so the cache never goes stale.
+  void refreshScales();
+
   double log_sigma_f_;
   Vector log_l_;
+  Vector inv_l_;     // exp(−log l_i), read by eval
+  Vector inv_l_sq_;  // exp(−2·log l_i), read by accumulateWeightedGrad
 };
 
 /// Nonlinear-fusion kernel of eq. (9) over augmented inputs z = [x; y_l]
@@ -139,6 +145,9 @@ class NargpKernel final : public Kernel {
     double k1, k2, k3;
   };
   Parts evalParts(const Vector& a, const Vector& b) const;
+  /// Recompute the inverse length scales from the log parameters; called
+  /// only by the constructor and setParams.
+  void refreshScales();
 
   std::size_t x_dim_;
   double log_l_rho_;   // k1 length scale over y_l
@@ -146,6 +155,13 @@ class NargpKernel final : public Kernel {
   Vector log_l2_;      // k2 length scales over x
   double log_sf3_;     // k3 signal std
   Vector log_l3_;      // k3 length scales over x
+
+  // exp(−log l) and exp(−2·log l) of the length scales above, cached so
+  // the evaluation loops call no exp per dimension.
+  double inv_l_rho_ = 0.0;
+  double inv_l_rho_sq_ = 0.0;
+  Vector inv_l2_, inv_l2_sq_;
+  Vector inv_l3_, inv_l3_sq_;
 };
 
 }  // namespace mfbo::gp

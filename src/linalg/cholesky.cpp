@@ -1,5 +1,6 @@
 #include "linalg/cholesky.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -94,40 +95,61 @@ bool Cholesky::appendRow(const Vector& b, double c) {
 }
 
 Vector Cholesky::solveLower(const Vector& b) const {
-  const std::size_t n = dim();
-  MFBO_CHECK(b.size() == n, "rhs size ", b.size(), " does not match dim ", n);
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l_(i, j) * y[j];
-    y[i] = acc / l_(i, i);
-  }
+  Vector y = b;
+  solveLowerInPlace(y);
   return y;
 }
 
 Vector Cholesky::solveUpper(const Vector& y) const {
-  const std::size_t n = dim();
-  MFBO_CHECK(y.size() == n, "rhs size ", y.size(), " does not match dim ", n);
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= l_(j, ii) * x[j];
-    x[ii] = acc / l_(ii, ii);
-  }
+  Vector x = y;
+  solveUpperInPlace(x);
   return x;
 }
 
 Vector Cholesky::solve(const Vector& b) const {
-  return solveUpper(solveLower(b));
+  Vector x = b;
+  solveLowerInPlace(x);
+  solveUpperInPlace(x);
+  return x;
 }
 
-Matrix Cholesky::solveMatrix(const Matrix& b) const {
-  MFBO_CHECK(b.rows() == dim(), "rhs rows ", b.rows(),
-             " do not match dim ", dim());
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c)
-    x.setCol(c, solve(b.col(c)));
-  return x;
+void Cholesky::solveLowerInPlace(Vector& b) const {
+  const std::size_t n = dim();
+  MFBO_CHECK(b.size() == n, "rhs size ", b.size(), " does not match dim ", n);
+  // Entries before i already hold the solution, entries from i on the rhs.
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = b[i];
+    for (std::size_t j = 0; j < i; ++j) acc -= l_(i, j) * b[j];
+    b[i] = acc / l_(i, i);
+  }
+}
+
+void Cholesky::solveUpperInPlace(Vector& y) const {
+  const std::size_t n = dim();
+  MFBO_CHECK(y.size() == n, "rhs size ", y.size(), " does not match dim ", n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double acc = y[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) acc -= l_(j, ii) * y[j];
+    y[ii] = acc / l_(ii, ii);
+  }
+}
+
+void Cholesky::solveLowerInPlace(Matrix& b) const {
+  const std::size_t n = dim();
+  MFBO_CHECK(b.rows() == n, "rhs rows ", b.rows(), " do not match dim ", n);
+  // Row i of b is every column's accumulator: it starts as the rhs, takes
+  // the j-th update for ascending j, then the division — solveLower's
+  // sequence per column. The inner loop runs across independent columns.
+  const std::size_t m = b.cols();
+  if (m == 0) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      const double lij = l_(i, j);
+      for (std::size_t c = 0; c < m; ++c) b(i, c) -= lij * b(j, c);
+    }
+    const double lii = l_(i, i);
+    for (std::size_t c = 0; c < m; ++c) b(i, c) /= lii;
+  }
 }
 
 double Cholesky::logDet() const {
@@ -137,7 +159,19 @@ double Cholesky::logDet() const {
 }
 
 Matrix Cholesky::inverse() const {
-  return solveMatrix(Matrix::identity(dim()));
+  // One scratch column, solved in place per identity column: the same
+  // arithmetic as solve(e_c), with two allocations in all.
+  const std::size_t n = dim();
+  Matrix inv(n, n);
+  Vector e(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    std::fill(e.begin(), e.end(), 0.0);
+    e[c] = 1.0;
+    solveLowerInPlace(e);
+    solveUpperInPlace(e);
+    for (std::size_t r = 0; r < n; ++r) inv(r, c) = e[r];
+  }
+  return inv;
 }
 
 }  // namespace mfbo::linalg

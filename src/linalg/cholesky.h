@@ -44,14 +44,23 @@ class Cholesky {
   /// Solve A x = b via two triangular solves.
   Vector solve(const Vector& b) const;
 
-  /// Solve A X = B column-by-column.
-  Matrix solveMatrix(const Matrix& b) const;
-
   /// Solve L y = b (forward substitution).
   Vector solveLower(const Vector& b) const;
 
   /// Solve Lᵀ x = y (backward substitution).
   Vector solveUpper(const Vector& y) const;
+
+  // In-place variants for the allocation-free hot paths. Each performs
+  // exactly the floating-point operations of its allocating counterpart,
+  // in the same order, so the results are bit-identical.
+
+  /// Overwrite @p b with L⁻¹ b.
+  void solveLowerInPlace(Vector& b) const;
+  /// Overwrite @p y with L⁻ᵀ y.
+  void solveUpperInPlace(Vector& y) const;
+  /// Overwrite every column of @p b with L⁻¹ times that column; each
+  /// column goes through solveLower's operation sequence.
+  void solveLowerInPlace(Matrix& b) const;
 
   /// log|A| = 2·Σ log L_ii — used directly in the GP marginal likelihood.
   double logDet() const;

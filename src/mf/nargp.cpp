@@ -145,23 +145,32 @@ Prediction NargpModel::predictHigh(const Vector& x) const {
   // independent per index, so samples fan out in chunks over the parallel
   // pool, writing into per-index slots. (The draws themselves are common
   // random numbers fixed at fit time; the parallel body consumes no RNG.)
+  // A chunk stacks the k* of its variance samples (i < n_var) as columns
+  // and solves them with one multi-column forward substitution, which
+  // gives each column solveLower's exact bits. The solve stays inside the
+  // chunk body so it runs on the pool with the rest of the chunk.
   Vector sample_mean(config_.n_mc);
   Vector sample_var(n_var);
   parallel::parallelForChunked(
       config_.n_mc, /*grain=*/8, [&](std::size_t lo, std::size_t hi) {
-        Vector ks(n);  // per-chunk scratch; serial path pays this once
+        // Per-chunk scratch; the serial path pays for it once.
+        Vector ks(n);
+        const std::size_t var_hi = std::min(hi, n_var);
+        linalg::Matrix v(n, var_hi > lo ? var_hi - lo : 0);
         for (std::size_t i = lo; i < hi; ++i) {
           const double yl = low.mean + low_sd * mc_draws_[i];
           for (std::size_t t = 0; t < n; ++t)
             ks[t] = kernel.k1Scalar(yl, z_train[t][yl_index]) * c2[t] + c3[t];
           const double mu_z = dot(ks, alpha);
           sample_mean[i] = std_out.unapply(mu_z);
-          if (i < n_var) {
-            const Vector v = chol.solveLower(ks);
-            const double var_z =
-                std::max(sn2 + k_self - v.squaredNorm(), 1e-12);
-            sample_var[i] = std_out.unapplyVariance(var_z);
-          }
+          if (i < n_var) v.setCol(i - lo, ks);
+        }
+        chol.solveLowerInPlace(v);
+        for (std::size_t c = 0; c < v.cols(); ++c) {
+          double v_sq = 0.0;  // Vector::squaredNorm's order
+          for (std::size_t t = 0; t < n; ++t) v_sq += v(t, c) * v(t, c);
+          const double var_z = std::max(sn2 + k_self - v_sq, 1e-12);
+          sample_var[lo + c] = std_out.unapplyVariance(var_z);
         }
       });
 

@@ -192,7 +192,12 @@ TEST(CholeskyContracts, SolvesValidateRhsDimension) {
   EXPECT_THROW(chol.solve(Vector{1.0}), ContractViolation);
   EXPECT_THROW(chol.solveLower(Vector{1.0, 2.0, 3.0}), ContractViolation);
   EXPECT_THROW(chol.solveUpper(Vector{1.0}), ContractViolation);
-  EXPECT_THROW(chol.solveMatrix(Matrix(3, 2)), ContractViolation);
+  Vector short_rhs{1.0};
+  Vector long_rhs{1.0, 2.0, 3.0};
+  Matrix tall_rhs(3, 2);
+  EXPECT_THROW(chol.solveLowerInPlace(short_rhs), ContractViolation);
+  EXPECT_THROW(chol.solveUpperInPlace(long_rhs), ContractViolation);
+  EXPECT_THROW(chol.solveLowerInPlace(tall_rhs), ContractViolation);
 }
 
 TEST(CholeskyContracts, JitterLadderStillWorksOnValidInput) {

@@ -109,7 +109,10 @@ TEST(GpDeterminism, RestartTrainingGivesIdenticalPosterior) {
 // --- NARGP MC prediction -------------------------------------------------
 
 TEST(NargpDeterminism, McFusedPredictionIsThreadCountInvariant) {
-  const auto fit_and_predict = [] {
+  // n_mc_var decides how many samples of a chunk join its stacked variance
+  // solve: the default 20, a single sample (one column in the first chunk,
+  // none elsewhere), and n_mc_var >= n_mc (every chunk full).
+  const auto fit_and_predict = [](std::size_t n_mc_var) {
     std::vector<linalg::Vector> xl, xh;
     std::vector<double> yl, yh;
     for (int i = 0; i < 25; ++i) {
@@ -125,6 +128,7 @@ TEST(NargpDeterminism, McFusedPredictionIsThreadCountInvariant) {
     mf::NargpConfig cfg;
     cfg.seed = 9;
     cfg.n_mc = 64;  // well above the grain, so the pool actually engages
+    cfg.n_mc_var = n_mc_var;
     cfg.low.n_restarts = 1;
     cfg.high.n_restarts = 1;
     mf::NargpModel model(1, cfg);
@@ -138,11 +142,15 @@ TEST(NargpDeterminism, McFusedPredictionIsThreadCountInvariant) {
     }
     return out;
   };
-  const std::vector<double> serial = withThreads(1, fit_and_predict);
-  const std::vector<double> pooled = withThreads(4, fit_and_predict);
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    EXPECT_EQ(serial[i], pooled[i]) << "slot " << i;
+  for (const std::size_t n_mc_var : {20u, 1u, 64u, 100u}) {
+    SCOPED_TRACE(testing::Message() << "n_mc_var=" << n_mc_var);
+    const auto run = [&] { return fit_and_predict(n_mc_var); };
+    const std::vector<double> serial = withThreads(1, run);
+    const std::vector<double> pooled = withThreads(4, run);
+    ASSERT_EQ(serial.size(), pooled.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      EXPECT_EQ(serial[i], pooled[i]) << "slot " << i;
+  }
 }
 
 // --- full Algorithm-1 loop -----------------------------------------------

@@ -6,8 +6,6 @@
 // validates the dump it left behind).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "bo/mfbo.h"

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "common/check.h"
+#include "common/memstats.h"
 #include "gp/gp_regressor.h"
 #include "gp/kernel.h"
 #include "linalg/rng.h"
@@ -119,6 +123,18 @@ TEST(NargpKernel, GramIsSpd) {
   EXPECT_NO_THROW(Cholesky::factorWithJitter(k.gram(z)));
 }
 
+/// Symmetric n×n matrix of standard-normal draws (lower triangle drawn
+/// row by row, mirrored).
+Matrix randomSymmetric(std::size_t n, Rng& rng) {
+  Matrix w(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) {
+      w(i, j) = rng.normal();
+      w(j, i) = w(i, j);
+    }
+  return w;
+}
+
 // Finite-difference check of accumulateWeightedGrad for both kernels:
 // Σ w_ij k_ij differentiated numerically must match the accumulated grad.
 template <typename K>
@@ -126,12 +142,7 @@ void checkWeightedGrad(K& kernel, std::size_t input_dim, unsigned seed) {
   Rng rng(seed);
   std::vector<Vector> x;
   for (int i = 0; i < 7; ++i) x.push_back(rng.uniformVector(input_dim));
-  Matrix w(7, 7);
-  for (std::size_t i = 0; i < 7; ++i)
-    for (std::size_t j = 0; j <= i; ++j) {
-      w(i, j) = rng.normal();
-      w(j, i) = w(i, j);
-    }
+  const Matrix w = randomSymmetric(7, rng);
   const Vector p0 = kernel.params();
   auto contraction = [&](const Vector& p) {
     kernel.setParams(p);
@@ -166,6 +177,127 @@ TEST(NargpKernel, WeightedGradMatchesFiniteDifference) {
   NargpKernel k(2);
   k.setParams(Vector{-0.3, 0.2, -0.5, 0.4, -0.2, 0.1, -0.6});
   checkWeightedGrad(k, 3, 13);
+}
+
+// ------------------------------------------ cached inverse length scales --
+
+// The kernels' formulas with exp(−log l) taken inline per dimension, as
+// they were before the kernels cached it: the cached evaluation must
+// reproduce these bits exactly.
+double referenceSeArd(const Vector& p, const Vector& a, const Vector& b) {
+  double q = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double scaled = (a[i] - b[i]) * std::exp(-p[1 + i]);
+    q += scaled * scaled;
+  }
+  return std::exp(2.0 * p[0] - 0.5 * q);
+}
+
+// p = [log l_ρ, log σ_f2, log l2_1..d, log σ_f3, log l3_1..d].
+double referenceNargp(const Vector& p, std::size_t d, const Vector& a,
+                      const Vector& b) {
+  const double dy = a[d] - b[d];
+  const double inv_lr = std::exp(-p[0]);
+  const double k1 = std::exp(-0.5 * dy * dy * inv_lr * inv_lr);
+  double q2 = 0.0, q3 = 0.0;
+  for (std::size_t i = 0; i < d; ++i) {
+    const double diff = a[i] - b[i];
+    const double s2 = diff * std::exp(-p[2 + i]);
+    const double s3 = diff * std::exp(-p[3 + d + i]);
+    q2 += s2 * s2;
+    q3 += s3 * s3;
+  }
+  const double k2 = std::exp(2.0 * p[1] - 0.5 * q2);
+  const double k3 = std::exp(2.0 * p[2 + d] - 0.5 * q3);
+  return k1 * k2 + k3;
+}
+
+/// accumulateWeightedGrad of @p kernel, which reads the cached squared
+/// inverse length scales.
+Vector weightedGrad(const Kernel& kernel, const std::vector<Vector>& x,
+                    const Matrix& w) {
+  Vector grad(kernel.numParams());
+  kernel.accumulateWeightedGrad(x, w, grad);
+  return grad;
+}
+
+void expectSameBits(const Vector& got, const Vector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << "entry " << i;
+}
+
+TEST(KernelScaleCache, SeArdSetParamsLeavesNoStaleScales) {
+  Rng rng(61);
+  const std::size_t d = 5;
+  const Vector p1 = rng.normalVector(d + 1);
+  const Vector p2 = rng.normalVector(d + 1);
+  SeArdKernel reused(d);
+  reused.setParams(p1);
+  reused.setParams(p2);
+  SeArdKernel fresh(d);
+  fresh.setParams(p2);
+  const std::unique_ptr<Kernel> cloned = reused.clone();
+
+  std::vector<Vector> x;
+  for (int i = 0; i < 6; ++i) x.push_back(rng.uniformVector(d));
+  for (const Vector& a : x) {
+    for (const Vector& b : x) {
+      const double want = referenceSeArd(p2, a, b);
+      EXPECT_EQ(fresh.eval(a, b), want);
+      EXPECT_EQ(reused.eval(a, b), want);
+      EXPECT_EQ(cloned->eval(a, b), want);
+    }
+  }
+  const Matrix w = randomSymmetric(x.size(), rng);
+  const Vector want_grad = weightedGrad(fresh, x, w);
+  expectSameBits(weightedGrad(reused, x, w), want_grad);
+  expectSameBits(weightedGrad(*cloned, x, w), want_grad);
+}
+
+TEST(KernelScaleCache, NargpSetParamsLeavesNoStaleScales) {
+  Rng rng(67);
+  const std::size_t d = 4;
+  NargpKernel reused(d);
+  const Vector p1 = rng.normalVector(reused.numParams());
+  const Vector p2 = rng.normalVector(reused.numParams());
+  reused.setParams(p1);
+  reused.setParams(p2);
+  NargpKernel fresh(d);
+  fresh.setParams(p2);
+  const std::unique_ptr<Kernel> cloned_base = reused.clone();
+  const auto& cloned = static_cast<const NargpKernel&>(*cloned_base);
+
+  std::vector<Vector> z;
+  for (int i = 0; i < 6; ++i) z.push_back(rng.uniformVector(d + 1));
+  for (const Vector& a : z) {
+    for (const Vector& b : z) {
+      const double want = referenceNargp(p2, d, a, b);
+      EXPECT_EQ(fresh.eval(a, b), want);
+      EXPECT_EQ(reused.eval(a, b), want);
+      EXPECT_EQ(cloned.eval(a, b), want);
+      const double dy = (a[d] - b[d]) * std::exp(-p2[0]);
+      const double want_k1 = std::exp(-0.5 * dy * dy);
+      EXPECT_EQ(fresh.k1Scalar(a[d], b[d]), want_k1);
+      EXPECT_EQ(reused.k1Scalar(a[d], b[d]), want_k1);
+      EXPECT_EQ(cloned.k1Scalar(a[d], b[d]), want_k1);
+    }
+  }
+
+  const Vector x_star = rng.uniformVector(d);
+  Vector want_c2, want_c3, c2, c3;
+  fresh.crossXParts(z, x_star, want_c2, want_c3);
+  reused.crossXParts(z, x_star, c2, c3);
+  expectSameBits(c2, want_c2);
+  expectSameBits(c3, want_c3);
+  cloned.crossXParts(z, x_star, c2, c3);
+  expectSameBits(c2, want_c2);
+  expectSameBits(c3, want_c3);
+
+  const Matrix w = randomSymmetric(z.size(), rng);
+  const Vector want_grad = weightedGrad(fresh, z, w);
+  expectSameBits(weightedGrad(reused, z, w), want_grad);
+  expectSameBits(weightedGrad(cloned, z, w), want_grad);
 }
 
 // ------------------------------------------------------------------- NLML --
@@ -345,6 +477,20 @@ TEST(GpRegressor, HandlesConstantTargets) {
   const Prediction p = gp.predict(Vector{0.7});
   EXPECT_NEAR(p.mean, 2.0, 0.2);
   EXPECT_TRUE(std::isfinite(p.var));
+}
+
+TEST(GpRegressor, PredictMakesOneAllocationPerCall) {
+  // k* is the only allocation: the variance's forward solve runs in place
+  // over it. predict opens no parallel region, so the calling thread's
+  // counters see all of its work.
+  auto f = [](double x) { return std::sin(4.0 * x); };
+  const GpRegressor gp = makeFitted1d(12, 0.0, 29, f);
+  const Vector q{0.37};
+  const std::uint64_t before = mfbo::memstats::threadCounters().alloc_count;
+  const Prediction p = gp.predict(q);
+  const std::uint64_t after = mfbo::memstats::threadCounters().alloc_count;
+  EXPECT_EQ(after - before, 1u);
+  EXPECT_TRUE(std::isfinite(p.mean));
 }
 
 TEST(GpRegressor, DuplicateInputsDoNotCrash) {

@@ -320,6 +320,100 @@ TEST(Cholesky, TriangularSolvesCompose) {
   EXPECT_LT(maxAbsDiff(via_parts, direct), 1e-14);
 }
 
+// ------------------------------------- in-place solves, compared bit for bit --
+
+// Textbook substitutions into a fresh vector: the reference every in-place
+// solve must reproduce exactly (same operations, same order).
+Vector referenceLower(const Matrix& l, const Vector& b) {
+  Vector y(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    double acc = b[i];
+    for (std::size_t j = 0; j < i; ++j) acc -= l(i, j) * y[j];
+    y[i] = acc / l(i, i);
+  }
+  return y;
+}
+
+Vector referenceUpper(const Matrix& l, const Vector& y) {
+  Vector x(y.size());
+  for (std::size_t ii = y.size(); ii-- > 0;) {
+    double acc = y[ii];
+    for (std::size_t j = ii + 1; j < y.size(); ++j) acc -= l(j, ii) * x[j];
+    x[ii] = acc / l(ii, ii);
+  }
+  return x;
+}
+
+void expectSameBits(const Vector& got, const Vector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << "entry " << i;
+}
+
+TEST(CholeskyInPlace, VectorSolvesMatchTheReferenceBitForBit) {
+  Rng rng(31);
+  for (const std::size_t n : {1u, 7u, 40u}) {
+    SCOPED_TRACE(n);
+    const Cholesky chol = Cholesky::factor(randomSpd(n, rng));
+    const Vector b = rng.normalVector(n);
+    const Vector want_lower = referenceLower(chol.lower(), b);
+    const Vector want_upper = referenceUpper(chol.lower(), b);
+
+    Vector lower = b;
+    chol.solveLowerInPlace(lower);
+    expectSameBits(lower, want_lower);
+    expectSameBits(chol.solveLower(b), want_lower);
+
+    Vector upper = b;
+    chol.solveUpperInPlace(upper);
+    expectSameBits(upper, want_upper);
+    expectSameBits(chol.solveUpper(b), want_upper);
+
+    expectSameBits(chol.solve(b),
+                   referenceUpper(chol.lower(), want_lower));
+  }
+}
+
+TEST(CholeskyInPlace, MultiColumnSolveMatchesColumnByColumnBitForBit) {
+  Rng rng(37);
+  for (const std::size_t n : {1u, 7u, 40u}) {
+    const Cholesky chol = Cholesky::factor(randomSpd(n, rng));
+    for (const std::size_t m : {0u, 1u, 3u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " m=" << m);
+      Matrix b(n, m);
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < m; ++c) b(r, c) = rng.normal();
+      Matrix solved = b;
+      chol.solveLowerInPlace(solved);
+      ASSERT_EQ(solved.rows(), n);
+      ASSERT_EQ(solved.cols(), m);
+      for (std::size_t c = 0; c < m; ++c) {
+        const Vector want = chol.solveLower(b.col(c));
+        expectSameBits(solved.col(c), want);
+        expectSameBits(want, referenceLower(chol.lower(), b.col(c)));
+      }
+    }
+  }
+}
+
+TEST(CholeskyInPlace, InverseMatchesSolvePerIdentityColumnBitForBit) {
+  Rng rng(41);
+  for (const std::size_t n : {1u, 7u, 40u}) {
+    SCOPED_TRACE(n);
+    const Cholesky chol = Cholesky::factor(randomSpd(n, rng));
+    const Matrix inv = chol.inverse();
+    ASSERT_EQ(inv.rows(), n);
+    ASSERT_EQ(inv.cols(), n);
+    const Matrix eye = Matrix::identity(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      const Vector want = referenceUpper(
+          chol.lower(), referenceLower(chol.lower(), eye.col(c)));
+      expectSameBits(inv.col(c), want);
+      expectSameBits(chol.solve(eye.col(c)), want);
+    }
+  }
+}
+
 // ------------------------------------------------------------------- Rng --
 
 TEST(Rng, Deterministic) {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.h"
+#include "common/memstats.h"
+#include "common/parallel.h"
 #include "gp/gp_regressor.h"
 #include "linalg/rng.h"
 #include "mf/ar1.h"
@@ -14,10 +17,16 @@
 namespace {
 
 using namespace mfbo::mf;
+namespace memstats = mfbo::memstats;
 using mfbo::gp::GpConfig;
 using mfbo::gp::GpRegressor;
 using mfbo::gp::SeArdKernel;
 using mfbo::linalg::Rng;
+
+struct ScopedThreads {
+  explicit ScopedThreads(std::size_t n) { mfbo::parallel::setMaxThreads(n); }
+  ~ScopedThreads() { mfbo::parallel::setMaxThreads(0); }
+};
 
 // Perdikaris et al. 2017 pedagogical pair on [0, 1]: the high-fidelity
 // function is a *nonlinear* (quadratic) transformation of the low one.
@@ -123,6 +132,33 @@ TEST(Nargp, PredictionIsDeterministicBetweenUpdates) {
   const Prediction b = model.predictHigh(q);
   EXPECT_DOUBLE_EQ(a.mean, b.mean);
   EXPECT_DOUBLE_EQ(a.var, b.var);
+}
+
+TEST(Nargp, PredictHighAllocationsDoNotGrowWithVarianceSamples) {
+  // At 1 thread the MC region runs as one chunk. Its variance samples
+  // share one stacked right-hand-side matrix and one in-place solve, so a
+  // call allocates the same at any n_mc_var: k* of the low GP, the two
+  // k2/k3 x-part vectors, the mean and variance slots, the region's body,
+  // and the chunk's k* and stacked-solve scratch — 8 in all.
+  const ScopedThreads one_thread(1);
+  const PedagogicalData d = makePedagogical(17, 6);
+  const auto allocs_per_call = [&](std::size_t n_mc_var) {
+    NargpConfig cfg = fastNargpConfig();
+    cfg.n_mc = 40;
+    cfg.n_mc_var = n_mc_var;
+    NargpModel model(1, cfg);
+    model.fit(d.x_low, d.y_low, d.x_high, d.y_high);
+    const mfbo::linalg::Vector q{0.42};
+    const std::uint64_t before = memstats::threadCounters().alloc_count;
+    const Prediction p = model.predictHigh(q);
+    const std::uint64_t after = memstats::threadCounters().alloc_count;
+    EXPECT_TRUE(std::isfinite(p.var));
+    return after - before;
+  };
+  const std::uint64_t one = allocs_per_call(1);
+  EXPECT_EQ(allocs_per_call(20), one);
+  EXPECT_EQ(allocs_per_call(40), one);
+  EXPECT_LE(one, 8u);
 }
 
 TEST(Nargp, VarianceShrinksAtNewHighPoint) {
