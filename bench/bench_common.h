@@ -30,6 +30,7 @@
 //   --help       print usage and exit
 #pragma once
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -115,22 +116,27 @@ inline BenchConfig parseArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--runs") == 0) {
       if (i + 1 >= argc) fail("missing value for", argv[i]);
       char* end = nullptr;
+      errno = 0;
       const long long n = std::strtoll(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n <= 0)
+      if (end == argv[i] || *end != '\0' || n <= 0 || errno == ERANGE)
         fail("--runs wants a positive integer, got", argv[i]);
       cfg.runs_override = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       if (i + 1 >= argc) fail("missing value for", argv[i]);
       char* end = nullptr;
+      errno = 0;
       const unsigned long long s = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0')
+      // strtoull negates a '-' value instead of rejecting it.
+      if (end == argv[i] || *end != '\0' || errno == ERANGE ||
+          std::strchr(argv[i], '-') != nullptr)
         fail("--seed wants a non-negative integer, got", argv[i]);
       cfg.seed = s;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       if (i + 1 >= argc) fail("missing value for", argv[i]);
       char* end = nullptr;
+      errno = 0;
       const long long n = std::strtoll(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n <= 0)
+      if (end == argv[i] || *end != '\0' || n <= 0 || errno == ERANGE)
         fail("--threads wants a positive integer, got", argv[i]);
       cfg.threads = static_cast<std::size_t>(n);
       parallel::setMaxThreads(cfg.threads);

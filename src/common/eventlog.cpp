@@ -10,7 +10,6 @@
 
 #include "common/check.h"
 #include "common/memstats.h"
-#include "common/parallel.h"
 #include "common/spans.h"
 
 namespace mfbo {
@@ -18,31 +17,39 @@ namespace eventlog {
 
 namespace {
 
-/// Rings readable by the dump path (including the signal handler, which
-/// cannot lock). Registration is append-only: the slot pointer is written
-/// before the release store of the count, and rings are intentionally
-/// never freed — a handler racing thread exit must not chase a dangling
-/// pointer. Threads beyond the cap still run; their events simply never
-/// reach the merged window.
-constexpr std::size_t kMaxRings = 128;
-
-struct Ring {
-  Event* slots = nullptr;
-  std::size_t capacity = 0;
-  std::atomic<std::uint64_t> head{0};     ///< events ever written
-  std::atomic<std::uint64_t> dropped{0};  ///< oldest slots overwritten
-  std::uint64_t generation = 0;           ///< enable() cycle that owns it
+/// One journal event, written whole by record(). Plain data: safe to read
+/// from a signal handler. Its seq is its position in the journal.
+struct Event {
+  std::int64_t ts_ns = 0;  ///< steady ns since enable(); -1 = unstamped
+  std::int64_t v0 = 0;
+  std::int64_t v1 = 0;
+  const char* a = nullptr;  ///< static detail string (or null)
+  const char* b = nullptr;  ///< static detail string (or null)
+  EventKind kind = EventKind::kSessionCreate;
 };
 
-Ring* g_rings[kMaxRings];
-std::atomic<std::size_t> g_ring_count{0};
-std::mutex g_register_mu;  ///< serializes writers of g_rings; readers don't lock
+/// One journal's window. The table is static and never freed, so the dump
+/// — the signal handler included — reads it without locks and never
+/// chases a dangling pointer.
+struct Slot {
+  /// enable() cycle that last claimed this slot. Stored with release
+  /// after the label and head are reset.
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<std::uint64_t> head{0};  ///< events ever written = next seq
+  bool held = false;  ///< owned by a live journal; guarded by g_claim_mu
+  char label[kSessionIdCap] = {};
+  Event events[kJournalCapacity];
+};
 
-std::atomic<std::uint64_t> g_seq{0};
-std::atomic<std::uint64_t> g_recorded{0};
-std::atomic<std::uint64_t> g_skipped{0};
+/// constinit: all-zero and initialized at compile time, so the table sits
+/// in .bss and no page of it is touched until a journal records.
+constinit Slot g_slots[kMaxJournals];
+std::mutex g_claim_mu;  ///< serializes claims and releases; readers don't lock
+
 std::atomic<std::uint64_t> g_generation{0};  ///< bumped by every enable()
-std::atomic<std::size_t> g_capacity{256};
+/// Events that left the table whole: the windows of reused slots, and
+/// records made while every slot was held.
+std::atomic<std::uint64_t> g_evicted{0};
 std::atomic<bool> g_wall{false};
 std::chrono::steady_clock::time_point g_start{};
 
@@ -52,8 +59,7 @@ bool g_handlers_installed = false;
 struct sigaction g_old_segv;
 struct sigaction g_old_abrt;
 
-thread_local Ring* t_ring = nullptr;
-thread_local char t_session[kSessionIdCap] = {0};
+thread_local Journal* t_journal = nullptr;
 
 std::int64_t nowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -61,42 +67,9 @@ std::int64_t nowNs() {
       .count();
 }
 
-/// The calling thread's ring, created (and registered) on first use and
-/// re-armed after every enable(). Allocation happens only here, under
-/// PauseScope: recorder memory is machinery, never workload.
-Ring* threadRing() {
-  Ring* ring = t_ring;
-  if (ring == nullptr) {
-    const memstats::PauseScope alloc_pause;
-    ring = new Ring;  // leaked by design; see kMaxRings comment
-    const std::lock_guard<std::mutex> lock(g_register_mu);
-    const std::size_t count = g_ring_count.load(std::memory_order_relaxed);
-    if (count < kMaxRings) {
-      g_rings[count] = ring;
-      g_ring_count.store(count + 1, std::memory_order_release);
-    }
-    t_ring = ring;
-  }
-  const std::uint64_t generation =
-      g_generation.load(std::memory_order_acquire);
-  if (ring->generation != generation) {
-    const memstats::PauseScope alloc_pause;
-    const std::size_t capacity = g_capacity.load(std::memory_order_relaxed);
-    if (ring->capacity != capacity) {
-      delete[] ring->slots;
-      ring->slots = new Event[capacity];
-      ring->capacity = capacity;
-    }
-    ring->head.store(0, std::memory_order_relaxed);
-    ring->dropped.store(0, std::memory_order_relaxed);
-    ring->generation = generation;
-  }
-  return ring;
-}
-
 /// Async-signal-safe buffered writer: open/write/close only — no stdio,
 /// no locks, no allocation. Everything the dump serializes (static detail
-/// strings, fixed session ids, integers) formats through here.
+/// strings, fixed labels, integers) formats through here.
 struct FdWriter {
   int fd = -1;
   char buf[4096];
@@ -161,70 +134,45 @@ struct FdWriter {
   }
 };
 
-/// Per-ring snapshot of the mergeable window. Fixed-size state only: the
-/// signal handler builds this on its stack.
-struct Cursor {
-  const Ring* ring = nullptr;
-  std::uint64_t next = 0;  ///< absolute index of the oldest unmerged event
-  std::uint64_t head = 0;
-};
-
-struct MergeState {
-  Cursor cursors[kMaxRings];
-  std::size_t n_rings = 0;
+/// Every slot's head, read once, so a dump's header and lines agree even
+/// while journals keep recording. Exact when recording is quiesced;
+/// best-effort otherwise — an event being written while the window is
+/// read may serialize torn, never crash. Fixed-size: the signal handler
+/// builds this on its stack.
+struct Snapshot {
+  std::uint64_t head[kMaxJournals] = {};  ///< 0 for earlier cycles' slots
+  std::uint64_t recorded = 0;
   std::uint64_t dropped = 0;
-  std::uint64_t window = 0;  ///< total events across all windows
-};
+  std::uint64_t events = 0;
 
-/// Snapshot every current-generation ring. Exact when recording is
-/// quiesced (deterministic mode, post-mortem); best-effort while wall-
-/// clock recording is still in flight — an event being written while the
-/// window is read may serialize torn, never crash.
-void beginMerge(MergeState& m) {
-  m.n_rings = 0;
-  m.dropped = 0;
-  m.window = 0;
-  const std::uint64_t generation =
-      g_generation.load(std::memory_order_acquire);
-  const std::size_t count = g_ring_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Ring* ring = g_rings[i];
-    if (ring == nullptr || ring->generation != generation) continue;
-    Cursor& c = m.cursors[m.n_rings++];
-    c.ring = ring;
-    c.head = ring->head.load(std::memory_order_acquire);
-    c.next = c.head > ring->capacity ? c.head - ring->capacity : 0;
-    m.dropped += ring->dropped.load(std::memory_order_relaxed);
-    m.window += c.head - c.next;
-  }
-}
-
-/// Pop the lowest-sequence event across all cursors; null when drained.
-const Event* mergeNext(MergeState& m) {
-  const Event* best = nullptr;
-  Cursor* best_cursor = nullptr;
-  for (std::size_t i = 0; i < m.n_rings; ++i) {
-    Cursor& c = m.cursors[i];
-    if (c.next >= c.head) continue;
-    const Event* e = &c.ring->slots[c.next % c.ring->capacity];
-    if (best == nullptr || e->seq < best->seq) {
-      best = e;
-      best_cursor = &c;
+  Snapshot() {
+    const std::uint64_t generation =
+        g_generation.load(std::memory_order_acquire);
+    recorded = dropped = g_evicted.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < kMaxJournals; ++i) {
+      const Slot& slot = g_slots[i];
+      head[i] = slot.generation.load(std::memory_order_acquire) == generation
+                    ? slot.head.load(std::memory_order_acquire)
+                    : 0;
+      recorded += head[i];
+      dropped += first(i);
+      events += head[i] - first(i);
     }
   }
-  if (best_cursor != nullptr) ++best_cursor->next;
-  return best;
-}
+  /// Seq of the oldest event still in slot @p i's window.
+  std::uint64_t first(std::size_t i) const {
+    return head[i] > kJournalCapacity ? head[i] - kJournalCapacity : 0;
+  }
+};
 
-void writeEventLine(FdWriter& w, const Event& e) {
+void writeEventLine(FdWriter& w, std::uint64_t seq, const char* label,
+                    const Event& e) {
   w.putStr("{\"seq\":");
-  w.putUInt(e.seq);
+  w.putUInt(seq);
   w.putStr(",\"kind\":");
   w.putQuoted(kindName(e.kind));
-  if (e.session[0] != '\0') {
-    w.putStr(",\"session\":");
-    w.putQuoted(e.session);
-  }
+  w.putStr(",\"session\":");
+  w.putQuoted(label);
   if (e.a != nullptr) {
     w.putStr(",\"a\":");
     w.putQuoted(e.a);
@@ -244,29 +192,29 @@ void writeEventLine(FdWriter& w, const Event& e) {
   w.putStr("}\n");
 }
 
-/// The shared dump body: header line + merged event lines. Everything on
-/// this path is async-signal-safe.
+/// The shared dump body: header line + every window in slot order.
+/// Everything on this path is async-signal-safe.
 bool dumpToFd(int fd) {
   FdWriter w;
   w.fd = fd;
-  MergeState m;
-  beginMerge(m);
-  w.putStr("{\"format\":\"mfbo-flightrec\",\"version\":1,\"pid\":");
+  const Snapshot snap;
+  w.putStr("{\"format\":\"mfbo-flightrec\",\"version\":2,\"pid\":");
   w.putInt(static_cast<std::int64_t>(::getpid()));
   w.putStr(",\"deterministic\":");
   w.putStr(g_wall.load(std::memory_order_relaxed) ? "false" : "true");
   w.putStr(",\"ring_capacity\":");
-  w.putUInt(g_capacity.load(std::memory_order_relaxed));
+  w.putUInt(kJournalCapacity);
   w.putStr(",\"recorded\":");
-  w.putUInt(g_recorded.load(std::memory_order_relaxed));
+  w.putUInt(snap.recorded);
   w.putStr(",\"dropped\":");
-  w.putUInt(m.dropped);
-  w.putStr(",\"skipped_in_region\":");
-  w.putUInt(g_skipped.load(std::memory_order_relaxed));
+  w.putUInt(snap.dropped);
   w.putStr(",\"events\":");
-  w.putUInt(m.window);
+  w.putUInt(snap.events);
   w.putStr("}\n");
-  while (const Event* e = mergeNext(m)) writeEventLine(w, *e);
+  for (std::size_t i = 0; i < kMaxJournals; ++i)
+    for (std::uint64_t seq = snap.first(i); seq < snap.head[i]; ++seq)
+      writeEventLine(w, seq, g_slots[i].label,
+                     g_slots[i].events[seq % kJournalCapacity]);
   w.flush();
   return w.ok;
 }
@@ -329,8 +277,6 @@ const char* kindName(EventKind kind) {
       return "checkpoint_persist";
     case EventKind::kCheckpointRestore:
       return "checkpoint_restore";
-    case EventKind::kPoolDispatch:
-      return "pool_dispatch";
     case EventKind::kContractViolation:
       return "contract_violation";
     case EventKind::kCustom:
@@ -343,15 +289,8 @@ void enable(const Options& options) {
   MFBO_CHECK(!enabled(), "eventlog::enable() while already enabled");
   MFBO_CHECK(!options.install_signal_handler || !options.dump_dir.empty(),
              "install_signal_handler requires a dump_dir");
-  const memstats::PauseScope alloc_pause;
-  std::size_t capacity = options.ring_capacity;
-  if (capacity < 8) capacity = 8;
-  if (capacity > 65536) capacity = 65536;
-  g_capacity.store(capacity, std::memory_order_relaxed);
   g_wall.store(options.wall_clock, std::memory_order_relaxed);
-  g_seq.store(0, std::memory_order_relaxed);
-  g_recorded.store(0, std::memory_order_relaxed);
-  g_skipped.store(0, std::memory_order_relaxed);
+  g_evicted.store(0, std::memory_order_relaxed);
   g_start = std::chrono::steady_clock::now();
   if (options.dump_dir.empty()) {
     g_dump_path[0] = '\0';
@@ -363,9 +302,8 @@ void enable(const Options& options) {
     MFBO_CHECK(n > 0 && static_cast<std::size_t>(n) < sizeof(g_dump_path),
                "eventlog dump_dir path too long");
   }
-  // New generation: every ring re-arms (reset + possible resize) on its
-  // owner thread's next record; stale-generation rings drop out of the
-  // merge window.
+  // New cycle: every journal claims a fresh slot on its next record, and
+  // the windows of earlier cycles drop out of the dump.
   g_generation.fetch_add(1, std::memory_order_release);
   if (options.install_signal_handler) installHandlers();
   detail::g_enabled.store(true, std::memory_order_release);
@@ -376,36 +314,72 @@ void disable() {
   uninstallHandlers();
 }
 
+Journal::Journal(std::string_view label) {
+  label_[label.copy(label_, kSessionIdCap - 1)] = '\0';
+}
+
+Journal::~Journal() {
+  if (slot_ == kMaxJournals) return;
+  const std::lock_guard<std::mutex> lock(g_claim_mu);
+  // Under a later enable() cycle the slot may belong to another journal.
+  Slot& slot = g_slots[slot_];
+  if (slot.generation.load(std::memory_order_relaxed) == generation_)
+    slot.held = false;
+}
+
+std::size_t Journal::claimSlot() {
+  const std::uint64_t generation =
+      g_generation.load(std::memory_order_acquire);
+  if (generation_ == generation) return slot_;
+  const std::lock_guard<std::mutex> lock(g_claim_mu);
+  generation_ = generation;
+  for (slot_ = 0; slot_ < kMaxJournals; ++slot_) {
+    Slot& slot = g_slots[slot_];
+    const bool this_cycle =
+        slot.generation.load(std::memory_order_relaxed) == generation;
+    if (this_cycle && slot.held) continue;
+    // Reusing a released slot of this cycle evicts its window.
+    if (this_cycle)
+      g_evicted.fetch_add(slot.head.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+    slot.held = true;
+    std::memcpy(slot.label, label_, kSessionIdCap);
+    slot.head.store(0, std::memory_order_relaxed);
+    slot.generation.store(generation, std::memory_order_release);
+    break;
+  }
+  return slot_;
+}
+
+JournalScope::JournalScope(Journal& journal) : saved_(t_journal) {
+  t_journal = &journal;
+}
+
+JournalScope::~JournalScope() { t_journal = saved_; }
+
 namespace detail {
 
 std::atomic<bool> g_enabled{false};
 
 void recordSlow(EventKind kind, const char* a, const char* b,
                 std::int64_t v0, std::int64_t v1) {
-  if (!g_wall.load(std::memory_order_relaxed) &&
-      parallel::inParallelRegion()) {
-    // Deterministic mode keeps the journal single-writer: the serial path
-    // of common/parallel.cpp marks regions identically at every thread
-    // count, so the set of skipped records — and therefore the journal
-    // bytes — is thread-count-invariant.
-    g_skipped.fetch_add(1, std::memory_order_relaxed);
+  Journal* journal = t_journal;
+  if (journal == nullptr) return;
+  const std::size_t index = journal->claimSlot();
+  if (index == kMaxJournals) {
+    g_evicted.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Ring* ring = threadRing();
-  const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-  Event& slot = ring->slots[head % ring->capacity];
-  slot.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
-  slot.ts_ns = g_wall.load(std::memory_order_relaxed) ? nowNs() : -1;
-  slot.v0 = v0;
-  slot.v1 = v1;
-  slot.a = a;
-  slot.b = b;
-  slot.kind = kind;
-  std::memcpy(slot.session, t_session, kSessionIdCap);
-  if (head >= ring->capacity)
-    ring->dropped.fetch_add(1, std::memory_order_relaxed);
-  ring->head.store(head + 1, std::memory_order_release);
-  g_recorded.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = g_slots[index];
+  const std::uint64_t head = slot.head.load(std::memory_order_relaxed);
+  Event& event = slot.events[head % kJournalCapacity];
+  event.ts_ns = g_wall.load(std::memory_order_relaxed) ? nowNs() : -1;
+  event.v0 = v0;
+  event.v1 = v1;
+  event.a = a;
+  event.b = b;
+  event.kind = kind;
+  slot.head.store(head + 1, std::memory_order_release);
 }
 
 void noteContractViolation(const char* file, long line) {
@@ -422,54 +396,38 @@ void noteContractViolation(const char* file, long line) {
 
 }  // namespace detail
 
-ScopedSession::ScopedSession(std::string_view id) {
-  std::memcpy(saved_, t_session, kSessionIdCap);
-  const std::size_t n =
-      id.size() < kSessionIdCap - 1 ? id.size() : kSessionIdCap - 1;
-  std::memcpy(t_session, id.data(), n);
-  t_session[n] = '\0';
-}
-
-ScopedSession::~ScopedSession() {
-  std::memcpy(t_session, saved_, kSessionIdCap);
-}
-
 Stats stats() {
-  Stats s;
-  s.recorded = g_recorded.load(std::memory_order_relaxed);
-  s.skipped_in_region = g_skipped.load(std::memory_order_relaxed);
-  MergeState m;
-  beginMerge(m);
-  s.dropped = m.dropped;
-  return s;
+  const Snapshot snap;
+  return {snap.recorded, snap.dropped};
 }
 
 Json journalJson() {
   // Serialization is reporting, not workload: its allocations stay out of
   // the per-span accounting, like every other snapshot path.
   const memstats::PauseScope alloc_pause;
-  MergeState m;
-  beginMerge(m);
+  const Snapshot snap;
   Json doc = Json::object();
   doc.set("format", "mfbo-flightrec");
-  doc.set("version", 1);
+  doc.set("version", 2);
   doc.set("deterministic", !g_wall.load(std::memory_order_relaxed));
-  doc.set("ring_capacity", g_capacity.load(std::memory_order_relaxed));
-  doc.set("recorded", g_recorded.load(std::memory_order_relaxed));
-  doc.set("dropped", m.dropped);
-  doc.set("skipped_in_region", g_skipped.load(std::memory_order_relaxed));
+  doc.set("ring_capacity", kJournalCapacity);
+  doc.set("recorded", snap.recorded);
+  doc.set("dropped", snap.dropped);
   Json events = Json::array();
-  while (const Event* e = mergeNext(m)) {
-    Json row = Json::object();
-    row.set("seq", e->seq);
-    row.set("kind", kindName(e->kind));
-    if (e->session[0] != '\0') row.set("session", e->session);
-    if (e->a != nullptr) row.set("a", e->a);
-    if (e->b != nullptr) row.set("b", e->b);
-    row.set("v0", static_cast<double>(e->v0));
-    row.set("v1", static_cast<double>(e->v1));
-    if (e->ts_ns >= 0) row.set("ts_ns", static_cast<double>(e->ts_ns));
-    events.push(std::move(row));
+  for (std::size_t i = 0; i < kMaxJournals; ++i) {
+    for (std::uint64_t seq = snap.first(i); seq < snap.head[i]; ++seq) {
+      const Event& e = g_slots[i].events[seq % kJournalCapacity];
+      Json row = Json::object();
+      row.set("seq", seq);
+      row.set("kind", kindName(e.kind));
+      row.set("session", g_slots[i].label);
+      if (e.a != nullptr) row.set("a", e.a);
+      if (e.b != nullptr) row.set("b", e.b);
+      row.set("v0", static_cast<double>(e.v0));
+      row.set("v1", static_cast<double>(e.v1));
+      if (e.ts_ns >= 0) row.set("ts_ns", static_cast<double>(e.ts_ns));
+      events.push(std::move(row));
+    }
   }
   doc.set("events", std::move(events));
   return doc;

@@ -1,42 +1,42 @@
-// mfbo — flight recorder: a fixed-capacity ring-buffer journal of
-// structured service events, with a crash-time black-box dump.
-// Metrics, spans, and the timeline answer "how much" and "where did the
-// time go"; none answers the operator's first post-mortem question:
-// *what was the fleet doing right before it died?* This header adds that
-// operations layer, a flight recorder in the avionics sense:
+// mfbo — flight recorder: one ring journal of structured service events
+// per session, with a crash-time black-box dump. It answers the
+// operator's first post-mortem question: *what was the fleet doing right
+// before it died?*
 //
-//   * Structured events, not log lines. Sites record an EventKind (the
-//     service narrative: session lifecycle, engine transitions, fidelity
-//     decisions, checkpoint persist/restore, pool dispatch, contract
-//     violations) plus a fixed-size payload: two static-string details
-//     (pointers must outlive the process, like span names), two integers,
-//     and the session id of the innermost ScopedSession.
-//   * Fixed-capacity per-thread rings, allocated on a thread's first
-//     event under memstats::PauseScope and never resized or freed —
-//     recording never allocates, so it is hot-path-safe and the rings
-//     stay readable from a fatal-signal handler. A full ring overwrites
-//     its oldest slot and counts the loss (stats().dropped): the journal
-//     is always the *most recent* window.
-//   * Deterministic by default. Events carry a global sequence number and
-//     no timestamp; in deterministic mode (wall_clock=false) records from
-//     inside a parallel region are skipped (stats().skipped_in_region),
-//     so the journal is byte-identical at 1 and N threads, like spans.
-//     wall_clock=true stamps every event (steady-clock ns since enable())
-//     and keeps in-region records — maximum forensics, under the same
-//     audited D002 clock exemption as common/timeline.cpp.
-//   * Disabled cost is one inline relaxed atomic load and a branch.
-//   * Black-box dump. dumpFlightRecorder() merges every ring in sequence
-//     order into `<dump_dir>/flightrec.<pid>.jsonl` (header line + one
-//     event per line) using async-signal-safe primitives only —
-//     open/write/close, no allocation, no locks, no stdio — because the
-//     same path runs from the optional SIGSEGV/SIGABRT handler
-//     (Options::install_signal_handler) and from the ContractViolation
-//     hook in common/check.cpp. SessionManager::persist() also snapshots
-//     the journal, so a killed fleet leaves its last persisted window on
-//     disk even without a signal.
+//   * Structured events, not log lines: an EventKind (session lifecycle,
+//     engine transitions, fidelity decisions, checkpoint persist/restore,
+//     contract violations) plus two static-string details (pointers must
+//     outlive the process, like span names) and two integers.
+//   * One journal per session. A Journal is a ring of kJournalCapacity
+//     events numbered by its own seq. JournalScope installs it on the
+//     calling thread; record() writes to the calling thread's installed
+//     journal and does nothing when none is installed. Whichever thread
+//     steps a session, the driver or a pool worker, writes that session's
+//     ring and no other, so a journal's bytes depend on its session alone.
+//     A full ring overwrites its oldest event and counts it as dropped.
+//   * Fixed storage: a static table of kMaxJournals slots, never freed. A
+//     journal claims the lowest free slot on its first record after
+//     enable() and releases it when destroyed; a released slot keeps its
+//     window until another journal reuses it. Recording never allocates,
+//     and the dump never reads freed memory.
+//   * Deterministic by default: no timestamps, and the dump is
+//     byte-identical at 1 and N threads. wall_clock=true stamps every event
+//     (steady-clock ns since enable()), outside the determinism contract,
+//     under the same audited D002 clock exemption as common/timeline.cpp.
+//   * Disabled cost: one inline relaxed atomic load and a branch.
+//   * Black-box dump: every window, in slot order, to
+//     `<dump_dir>/flightrec.<pid>.jsonl` (a header line, then one
+//     session-labelled line per event), written with async-signal-safe
+//     primitives only — open/write/close, no allocation, locks or stdio —
+//     because the same path runs from the optional SIGSEGV/SIGABRT handler
+//     and from the ContractViolation hook in common/check.cpp.
+//     SessionManager also dumps at every persist.
 //
-// Contract: enable()/disable() only from the serial harness; detail
-// strings have static storage duration; long session ids are truncated.
+// Contract: enable()/disable() only from the serial harness; a journal is
+// installed on one thread at a time; detail strings have static storage
+// duration; long labels are truncated. Slots go in first-record order, so
+// dump bytes are thread-count-invariant when journals first record from
+// serial code (SessionManager::create records session_create).
 #pragma once
 
 #include <atomic>
@@ -64,7 +64,6 @@ enum class EventKind : unsigned char {
                        ///< (a = "checkpoint"|"result", v0 = steps)
   kCheckpointRestore,  ///< Session::restore / adoptResult
                        ///< (a = "checkpoint"|"result", v0 = steps)
-  kPoolDispatch,       ///< parallel region entered (v0 = n, v1 = grain)
   kContractViolation,  ///< MFBO_CHECK failed (a = file, v0 = line)
   kCustom,             ///< tests and embedders
 };
@@ -72,30 +71,20 @@ enum class EventKind : unsigned char {
 /// Stable lowercase tag ("session_step", "engine_transition", ...).
 const char* kindName(EventKind kind);
 
-/// Longest session id stored per event, terminator included; longer ids
-/// are truncated at record time (no allocation).
+/// Events per journal window.
+constexpr std::size_t kJournalCapacity = 256;
+
+/// Journals whose windows the dump can hold at once.
+constexpr std::size_t kMaxJournals = 128;
+
+/// Longest journal label stored, terminator included; longer labels are
+/// truncated (no allocation).
 constexpr std::size_t kSessionIdCap = 24;
 
-/// One journal slot. Plain data: safe to read from a signal handler.
-struct Event {
-  std::uint64_t seq = 0;   ///< global order; assigned at record()
-  std::int64_t ts_ns = -1; ///< steady ns since enable(); -1 = unstamped
-  std::int64_t v0 = 0;
-  std::int64_t v1 = 0;
-  const char* a = nullptr;  ///< static detail string (or null)
-  const char* b = nullptr;  ///< static detail string (or null)
-  EventKind kind = EventKind::kCustom;
-  char session[kSessionIdCap] = {0};  ///< innermost ScopedSession id
-};
-
 struct Options {
-  /// Slots per recording thread (clamped to [8, 65536]). The journal
-  /// window is the last `ring_capacity` events of each thread.
-  std::size_t ring_capacity = 256;
-  /// Stamp events with steady-clock ns and keep in-region records: the
-  /// wall-clock dump mode, outside the byte-determinism boundary. Off =
-  /// deterministic mode (sequence numbers only, in-region records
-  /// skipped, byte-identical at 1 vs N threads).
+  /// Stamp events with steady-clock ns: the wall-clock dump mode, outside
+  /// the byte-determinism boundary. Off = deterministic mode (no
+  /// timestamps, byte-identical at 1 vs N threads).
   bool wall_clock = false;
   /// Directory for flightrec.<pid>.jsonl. Empty disables automatic dumps
   /// (explicit dumpFlightRecorder(path) still works).
@@ -106,8 +95,8 @@ struct Options {
   bool install_signal_handler = false;
 };
 
-/// Turn the recorder on. Resets sequence numbers, stats, and every ring;
-/// (re)allocates rings at the configured capacity lazily per thread.
+/// Turn the recorder on. Resets the stats, and earlier windows leave the
+/// dump: every journal claims a fresh slot on its next record.
 /// Enabling while already enabled is a ContractViolation.
 void enable(const Options& options = {});
 
@@ -126,15 +115,52 @@ void recordSlow(EventKind kind, const char* a, const char* b,
 void noteContractViolation(const char* file, long line);
 }  // namespace detail
 
+/// A session's journal: its label (the session id, truncated to
+/// kSessionIdCap-1 bytes) and, while the recorder is on, its slot in the
+/// table. Destroying it releases the slot; the window stays in the dump
+/// until another journal claims the slot.
+class Journal {
+ public:
+  explicit Journal(std::string_view label);
+  Journal(const Journal&) = delete;
+  Journal& operator=(const Journal&) = delete;
+  ~Journal();
+
+ private:
+  friend void detail::recordSlow(EventKind, const char*, const char*,
+                                 std::int64_t, std::int64_t);
+  /// This journal's slot in the current enable() cycle, claiming the
+  /// lowest free one on first use; kMaxJournals when the table is full.
+  std::size_t claimSlot();
+
+  char label_[kSessionIdCap] = {};
+  std::size_t slot_ = kMaxJournals;  ///< kMaxJournals = none
+  std::uint64_t generation_ = 0;     ///< enable() cycle that claimed slot_
+};
+
+/// RAII install: while alive, record() on this thread writes to
+/// @p journal. Scopes nest and restore; the service layer installs one
+/// around every session entry so engine events land in the session's own
+/// journal.
+class JournalScope {
+ public:
+  explicit JournalScope(Journal& journal);
+  JournalScope(const JournalScope&) = delete;
+  JournalScope& operator=(const JournalScope&) = delete;
+  ~JournalScope();
+
+ private:
+  Journal* saved_;
+};
+
 /// True while the recorder is on.
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Append one event. One relaxed load + branch when disabled; never
-/// allocates when enabled (the thread's ring is created on its first
-/// record under memstats::PauseScope). @p a and @p b must be static
-/// strings (or null).
+/// Append one event to the calling thread's installed journal. One
+/// relaxed load + branch when disabled; never allocates. @p a and @p b
+/// must be static strings (or null).
 inline void record(EventKind kind, const char* a = nullptr,
                    const char* b = nullptr, std::int64_t v0 = 0,
                    std::int64_t v1 = 0) {
@@ -142,42 +168,27 @@ inline void record(EventKind kind, const char* a = nullptr,
   detail::recordSlow(kind, a, b, v0, v1);
 }
 
-/// RAII session label: while alive, events recorded by this thread carry
-/// @p id (truncated to kSessionIdCap-1 bytes). Scopes nest and restore;
-/// the service layer installs one per session entry so engine events are
-/// attributable to the session that caused them.
-class ScopedSession {
- public:
-  explicit ScopedSession(std::string_view id);
-  ScopedSession(const ScopedSession&) = delete;
-  ScopedSession& operator=(const ScopedSession&) = delete;
-  ~ScopedSession();
-
- private:
-  char saved_[kSessionIdCap];
-};
-
 struct Stats {
-  std::uint64_t recorded = 0;  ///< events written to a ring
-  std::uint64_t dropped = 0;   ///< oldest slots overwritten (ring wrap)
-  std::uint64_t skipped_in_region = 0;  ///< deterministic-mode skips
+  std::uint64_t recorded = 0;  ///< events written to a journal
+  std::uint64_t dropped = 0;   ///< events no longer in any window
 };
 
-/// Current counters. All three are deterministic for a fixed seed at any
-/// thread count in deterministic mode.
+/// Current counters. Deterministic for a fixed seed at any thread count
+/// in deterministic mode. Events lost to ring wrap, to a reused slot, or
+/// to a full table count as dropped.
 Stats stats();
 
-/// Merged journal window, sequence-ordered:
-/// {"format":"mfbo-flightrec","version":1,"deterministic":...,
+/// Every window, in slot order:
+/// {"format":"mfbo-flightrec","version":2,"deterministic":...,
 ///  "ring_capacity":...,"recorded":...,"dropped":...,
-///  "skipped_in_region":...,"events":[{...}]}.
+///  "events":[{"seq":...,"kind":...,"session":...,...}]}.
 /// In deterministic mode the dump() bytes are identical at 1 vs N
-/// threads. Callable while disabled (serializes the last journal).
+/// threads. Callable while disabled (serializes the last journals).
 Json journalJson();
 
-/// Write the merged window to `<dump_dir>/flightrec.<pid>.jsonl`.
-/// Returns false (never throws) when no dump directory is configured or
-/// the write fails. The non-signal path additionally runs under the
+/// Write every window to `<dump_dir>/flightrec.<pid>.jsonl`. Returns
+/// false (never throws) when no dump directory is configured or the write
+/// fails. The non-signal path additionally runs under the
 /// "flightrec_dump" span.
 bool dumpFlightRecorder();
 

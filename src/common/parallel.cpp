@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "common/check.h"
-#include "common/eventlog.h"
 #include "common/memstats.h"
 #include "common/spans.h"
 
@@ -50,8 +49,8 @@ thread_local bool t_in_region = false;
 // Health-layer gauges (parallel::poolStats). Relaxed atomics: totals are
 // exact, only interleaving is unordered. queue-depth is the unclaimed
 // backlog of the one job in flight (regions serialize on region_mu_), so
-// a concurrent scrape — or the flight-recorder dump of a wedged process —
-// sees how much of the current fan-out is still waiting.
+// a concurrent health scrape sees how much of the current fan-out is
+// still waiting.
 std::atomic<std::uint64_t> g_regions_total{0};
 std::atomic<std::uint64_t> g_pooled_regions{0};
 std::atomic<std::uint64_t> g_chunks_total{0};
@@ -228,18 +227,21 @@ class Pool {
 
 std::atomic<std::size_t> g_thread_override{0};
 
-/// MFBO_THREADS when it parses as a positive integer (strict: digits only),
-/// otherwise 0.
+/// MFBO_THREADS when it parses as a positive integer that fits
+/// std::size_t (strict: digits only), otherwise 0.
 std::size_t envThreads() {
   // Read once before the pool spins up; nothing in the library calls
   // setenv, so the lookup cannot race a concurrent environment write.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* env = std::getenv("MFBO_THREADS");
   if (env == nullptr || *env == '\0') return 0;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   std::size_t value = 0;
   for (const char* c = env; *c != '\0'; ++c) {
     if (*c < '0' || *c > '9') return 0;
-    value = value * 10 + static_cast<std::size_t>(*c - '0');
+    const auto digit = static_cast<std::size_t>(*c - '0');
+    if (value > (kMax - digit) / 10) return 0;  // would wrap
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -282,13 +284,6 @@ void parallelForChunked(std::size_t n, std::size_t grain,
                         const RangeBody& body) {
   if (n == 0) return;
   MFBO_CHECK(grain >= 1, "grain must be >= 1");
-  // Journal the fan-out before the region flag flips: top-level regions
-  // record at every thread count (serial path included), nested ones are
-  // handled by the recorder's deterministic-mode gate — so the event
-  // stream is byte-identical at 1 and N threads.
-  eventlog::record(eventlog::EventKind::kPoolDispatch, nullptr, nullptr,
-                   static_cast<std::int64_t>(n),
-                   static_cast<std::int64_t>(grain));
   g_regions_total.fetch_add(1, std::memory_order_relaxed);
   const std::size_t threads = maxThreads();
   if (threads <= 1 || n <= grain || t_in_region) {

@@ -102,8 +102,7 @@ class GpRegressor {
   double bestObserved() const;
 
   /// Flat hyperparameter vector: kernel log-params followed by the noise
-  /// sd. Checkpoints store it as an integrity stamp — a restored run
-  /// replays the training schedule and must land on exactly these values.
+  /// sd, so two fits can be compared exactly.
   std::vector<double> hyperparameters() const;
 
   // Power-user access for models that build custom batched prediction

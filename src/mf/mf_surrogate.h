@@ -60,8 +60,8 @@ class MfSurrogate {
   virtual std::unique_ptr<MfSurrogate> clone() const = 0;
 
   /// Flat vector of every trained hyperparameter (internal GPs low-first:
-  /// kernel log-params then noise sd; fusion scalars appended). Stored in
-  /// checkpoints as an integrity stamp for the replay-based restore.
+  /// kernel log-params then noise sd; fusion scalars appended), so two
+  /// fits can be compared exactly.
   virtual std::vector<double> hyperparameters() const = 0;
 };
 

@@ -78,7 +78,7 @@ std::string healthExposition(const Json& health) {
                  health.at("format").asString() == "mfbo-health",
              "health document format must be 'mfbo-health'");
   MFBO_CHECK(health.contains("version") && health.at("version").isNumber() &&
-                 health.at("version").asNumber() == 1,
+                 health.at("version").asNumber() == 2,
              "unsupported health document version");
   MFBO_CHECK(health.contains("sessions") && health.at("sessions").isArray(),
              "health document is missing the sessions array");
@@ -171,9 +171,6 @@ std::string healthExposition(const Json& health) {
   typeLine(out, "mfbo_eventlog_dropped_total", "counter");
   sample(out, "mfbo_eventlog_dropped_total", "",
          numberAt(journal, "dropped"));
-  typeLine(out, "mfbo_eventlog_skipped_in_region_total", "counter");
-  sample(out, "mfbo_eventlog_skipped_in_region_total", "",
-         numberAt(journal, "skipped_in_region"));
   return out;
 }
 

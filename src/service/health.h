@@ -1,7 +1,7 @@
 // mfbo::service — health exporter: the fleet's SLO snapshot in the two
 // formats an operator actually scrapes.
 //
-// SessionManager::healthJson() produces the versioned "mfbo-health" v1
+// SessionManager::healthJson() produces the versioned "mfbo-health" v2
 // document (per-session progress and step-latency quantiles, pool gauges,
 // flight-recorder counters). This header turns that document into:
 //
@@ -27,7 +27,7 @@
 namespace mfbo::service {
 
 /// Render a SessionManager::healthJson() document as Prometheus-style
-/// text exposition. The document must carry the "mfbo-health" v1
+/// text exposition. The document must carry the "mfbo-health" v2
 /// envelope; anything else is a ContractViolation.
 std::string healthExposition(const Json& health);
 

@@ -59,7 +59,8 @@ const char* sessionStatusName(SessionStatus s) {
   return "unknown";
 }
 
-Session::Session(SessionSpec spec) : spec_(std::move(spec)) {
+Session::Session(SessionSpec spec)
+    : spec_(std::move(spec)), journal_(spec_.id) {
   checkId(spec_.id);
   MFBO_CHECK(spec_.problem != nullptr, "session '", spec_.id,
              "' has no problem factory");
@@ -74,7 +75,7 @@ Session::Session(SessionSpec spec) : spec_(std::move(spec)) {
   engine_ = spec_.engine(*problem_);
   MFBO_CHECK(engine_ != nullptr, "session '", spec_.id,
              "' engine factory returned null");
-  const eventlog::ScopedSession journal_label(spec_.id);
+  const eventlog::JournalScope journal_scope(journal_);
   eventlog::record(eventlog::EventKind::kSessionCreate, engine_->algo());
 }
 
@@ -82,9 +83,9 @@ void Session::step() {
   MFBO_CHECK(status_ == SessionStatus::kRunning, "step() on a ",
              sessionStatusName(status_), " session");
   const spans::ArenaScope arena_scope(arena_);
-  // Journal label outlives the step body: the engine's transition and
-  // fidelity events recorded inside step() carry this session's id.
-  const eventlog::ScopedSession journal_label(spec_.id);
+  // The journal scope outlives the step body: the engine's transition and
+  // fidelity events recorded inside step() land in this session's journal.
+  const eventlog::JournalScope journal_scope(journal_);
   eventlog::record(eventlog::EventKind::kSessionStep, nullptr, nullptr,
                    static_cast<std::int64_t>(steps()));
   {
@@ -129,7 +130,7 @@ std::size_t Session::restore(std::string_view log) {
              "restore() on a session that has already run");
   // The replay re-runs the session's steps; that work is this session's.
   const spans::ArenaScope arena_scope(arena_);
-  const eventlog::ScopedSession journal_label(spec_.id);
+  const eventlog::JournalScope journal_scope(journal_);
   const std::size_t replayed = engine_->replay(log);
   log_started_ = replayed > 0;
   steps_at_last_persist_ = steps();
@@ -153,7 +154,7 @@ void Session::adoptResult(const Json& doc) {
              "session result document is missing the result payload");
   result_doc_ = doc;
   status_ = SessionStatus::kDone;
-  const eventlog::ScopedSession journal_label(spec_.id);
+  const eventlog::JournalScope journal_scope(journal_);
   eventlog::record(eventlog::EventKind::kCheckpointRestore, "result");
 }
 

@@ -2,15 +2,17 @@
 // observability state that keeps it isolated from every other session.
 //
 // A Session owns its Problem, its Engine, a private span arena
-// (common/spans.h) and its step-latency histogram (common/telemetry.h).
-// Every entry into the engine — construction, step, restore, snapshot —
-// happens under an ArenaScope, so N sessions interleaving on one driver
-// thread and the shared worker pool accumulate spans, span counters, and
-// allocation attribution exactly as if each had run alone. The
-// byte-identity contract tests/test_session_manager.cpp enforces follows
-// directly: a session's --no-timing artifact is byte-identical solo vs.
-// among 8 concurrent sessions at any thread count. Counters, like spans,
-// are recorded only while the profiler is on.
+// (common/spans.h), its step-latency histogram (common/telemetry.h) and
+// its flight-recorder journal (common/eventlog.h). Every entry into the
+// engine — construction, step, restore, snapshot — happens under an
+// ArenaScope, and every one that journals also under a JournalScope, so N
+// sessions interleaving on one driver thread and the shared worker pool
+// accumulate spans, span counters, allocation attribution and journal
+// events exactly as if each had run alone. The byte-identity contract
+// tests/test_session_manager.cpp enforces follows directly: a session's
+// --no-timing artifact is byte-identical solo vs. among 8 concurrent
+// sessions at any thread count. Counters, like spans, are recorded only
+// while the profiler is on.
 //
 // Persistence is the engine's run log (bo/engine.h): checkpoint() returns
 // the bytes the current boundary appends to it, and restore() replays a
@@ -29,6 +31,7 @@
 
 #include "bo/engine.h"
 #include "bo/problem.h"
+#include "common/eventlog.h"
 #include "common/json.h"
 #include "common/spans.h"
 #include "common/telemetry.h"
@@ -124,6 +127,11 @@ class Session {
   /// histogram, so the document is operator-facing, not byte-deterministic.
   Json healthJson();
 
+  /// This session's flight-recorder journal, labelled with its id.
+  /// Install it with eventlog::JournalScope around anything that journals
+  /// on the session's behalf.
+  eventlog::Journal& journal() { return journal_; }
+
   /// Mark the current boundary as persisted. SessionManager calls this
   /// after every successful persistNow(): the next checkpoint() starts
   /// after it, and healthJson()'s checkpoint_age_steps gauge counts from
@@ -138,6 +146,7 @@ class Session {
   // engine attributed to it.
   spans::SpanArena arena_;
   telemetry::Histogram step_latency_;
+  eventlog::Journal journal_;
   std::unique_ptr<bo::Problem> problem_;
   std::unique_ptr<bo::Engine> engine_;
   SessionStatus status_ = SessionStatus::kRunning;

@@ -166,7 +166,7 @@ void SessionManager::destroy(const std::string& id) {
   for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
     if ((*it)->id() != id) continue;
     {
-      const eventlog::ScopedSession journal_label(id);
+      const eventlog::JournalScope journal_scope((*it)->journal());
       eventlog::record(eventlog::EventKind::kSessionDestroy, nullptr,
                        nullptr, static_cast<std::int64_t>((*it)->steps()));
     }
@@ -208,7 +208,7 @@ void SessionManager::persistNow(Session& session) {
   // the per-span accounting so checkpointed and unmonitored runs produce
   // identical session artifacts.
   const memstats::PauseScope alloc_pause;
-  const eventlog::ScopedSession journal_label(session.id());
+  const eventlog::JournalScope journal_scope(session.journal());
   if (session.done()) {
     writeFileAtomic(resultPath(session.id()), session.resultJson().dump());
     // The checkpoint is superseded; removing it keeps recovery single-path
@@ -232,7 +232,7 @@ Json SessionManager::healthJson() {
   const memstats::PauseScope alloc_pause;
   Json doc = Json::object();
   doc.set("format", "mfbo-health");
-  doc.set("version", 1);
+  doc.set("version", 2);
   doc.set("rounds", static_cast<std::size_t>(rounds_));
   Json session_arr = Json::array();
   for (const auto& session : sessions_)
@@ -252,8 +252,6 @@ Json SessionManager::healthJson() {
   journal_obj.set("enabled", eventlog::enabled());
   journal_obj.set("recorded", static_cast<std::size_t>(journal.recorded));
   journal_obj.set("dropped", static_cast<std::size_t>(journal.dropped));
-  journal_obj.set("skipped_in_region",
-                  static_cast<std::size_t>(journal.skipped_in_region));
   doc.set("eventlog", std::move(journal_obj));
   return doc;
 }

@@ -98,10 +98,10 @@ class SessionManager {
   std::uint64_t roundsCompleted() const { return rounds_; }
 
   /// Fleet health snapshot for the service exporter (service/health.h):
-  /// {"format":"mfbo-health","version":1,"rounds":...,
+  /// {"format":"mfbo-health","version":2,"rounds":...,
   ///  "sessions":[Session::healthJson()...],
   ///  "pool":{workers,regions,pooled_regions,chunks,queue_depth},
-  ///  "eventlog":{enabled,recorded,dropped,skipped_in_region}}.
+  ///  "eventlog":{enabled,recorded,dropped}}.
   /// Operator-facing (wall-clock latency quantiles included), never part
   /// of the byte-determinism boundary.
   Json healthJson();

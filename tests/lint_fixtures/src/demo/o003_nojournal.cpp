@@ -1,7 +1,8 @@
 // Fixture: O003 fires — this file is registered with a `journalHook`
 // coupling (see the test's Config), mirroring the real flight-recorder
-// hook sites (kSessionStep in session.cpp, kPoolDispatch in
-// parallel.cpp, ...), but the journalling call was deleted.
+// hook sites (kSessionStep and JournalScope in session.cpp,
+// kFidelityDecision in engine.cpp, ...), but the journalling call was
+// deleted.
 namespace demo {
 
 void advanceEngine(int step) {

@@ -158,6 +158,24 @@ TEST(ParseArgsDeath, RejectsNonNumericSeed) {
               "non-negative integer");
 }
 
+TEST(ParseArgsDeath, RejectsNegativeSeed) {
+  // strtoull would wrap "-1" to 18446744073709551615.
+  EXPECT_EXIT(parse({"--seed", "-1"}), ::testing::ExitedWithCode(2),
+              "non-negative integer");
+  EXPECT_EXIT(parse({"--seed", " -1"}), ::testing::ExitedWithCode(2),
+              "non-negative integer");
+}
+
+TEST(ParseArgsDeath, RejectsOutOfRangeSeed) {
+  EXPECT_EXIT(parse({"--seed", "99999999999999999999999"}),
+              ::testing::ExitedWithCode(2), "non-negative integer");
+}
+
+TEST(ParseArgsDeath, RejectsOutOfRangeRuns) {
+  EXPECT_EXIT(parse({"--runs", "99999999999999999999999"}),
+              ::testing::ExitedWithCode(2), "positive integer");
+}
+
 TEST(ParseArgs, ThreadsFlagSetsCountAndOverride) {
   const bench::BenchConfig cfg = parse({"--threads", "3"});
   EXPECT_EQ(cfg.threads, 3u);
@@ -194,6 +212,12 @@ TEST(ParseArgsDeath, RejectsNonNumericThreads) {
 TEST(ParseArgsDeath, RejectsTrailingGarbageInThreads) {
   EXPECT_EXIT(parse({"--threads", "4x"}), ::testing::ExitedWithCode(2),
               "positive integer");
+}
+
+TEST(ParseArgsDeath, RejectsOutOfRangeThreads) {
+  // strtoll saturates to LLONG_MAX instead of failing the parse.
+  EXPECT_EXIT(parse({"--threads", "99999999999999999999999"}),
+              ::testing::ExitedWithCode(2), "positive integer");
 }
 
 TEST(ParseArgsDeath, RejectsMissingThreadsValue) {

@@ -1,12 +1,14 @@
-// Flight-recorder battery: ring-wrap drop accounting, deterministic-mode
-// byte identity at 1 vs 4 threads, in-region skip accounting, session
-// labelling, the ContractViolation hook, and the black-box dump — both
-// the explicit path and the fatal-signal path (FlightrecDeath, a
-// subprocess death-test suite: the child SIGABRTs and the parent
-// validates the dump it left behind).
+// Flight-recorder battery: ring-wrap drop accounting, journal labels and
+// scopes, slot release and reuse, deterministic-mode byte identity at 1 vs
+// 4 threads (sessions stepped serially or as pool tasks), the
+// ContractViolation hook, and the black-box dump — both the explicit path
+// and the fatal-signal path (FlightrecDeath, a subprocess death-test
+// suite: the child SIGABRTs and the parent validates the dump it left
+// behind).
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -81,6 +83,8 @@ std::string findDump(const std::string& dir) {
 
 TEST(EventlogBasics, DisabledRecordIsANoOp) {
   ASSERT_FALSE(eventlog::enabled());
+  eventlog::Journal journal("idle");
+  const eventlog::JournalScope scope(journal);
   eventlog::record(EventKind::kCustom, "ignored");
   const eventlog::Stats stats = eventlog::stats();
   // Whatever earlier tests left behind, a disabled record adds nothing.
@@ -91,16 +95,19 @@ TEST(EventlogBasics, DisabledRecordIsANoOp) {
 
 TEST(EventlogBasics, RecordsCarryKindDetailsAndSeq) {
   const ScopedRecorder recorder;
+  eventlog::Journal journal("j0");
+  const eventlog::JournalScope scope(journal);
   eventlog::record(EventKind::kCustom, "alpha", "beta", 7, -3);
   eventlog::record(EventKind::kEngineTransition, "propose", "fit");
   const Json doc = eventlog::journalJson();
   EXPECT_EQ(doc.at("format").asString(), "mfbo-flightrec");
-  EXPECT_EQ(doc.at("version").asNumber(), 1.0);
+  EXPECT_EQ(doc.at("version").asNumber(), 2.0);
   EXPECT_TRUE(doc.at("deterministic").asBool());
   ASSERT_EQ(doc.at("events").size(), 2u);
   const Json& first = doc.at("events").at(0);
   EXPECT_EQ(first.at("seq").asNumber(), 0.0);
   EXPECT_EQ(first.at("kind").asString(), "custom");
+  EXPECT_EQ(first.at("session").asString(), "j0");
   EXPECT_EQ(first.at("a").asString(), "alpha");
   EXPECT_EQ(first.at("b").asString(), "beta");
   EXPECT_EQ(first.at("v0").asNumber(), 7.0);
@@ -113,89 +120,110 @@ TEST(EventlogBasics, RecordsCarryKindDetailsAndSeq) {
 }
 
 TEST(EventlogBasics, RingWrapKeepsTheMostRecentWindowAndCountsDrops) {
-  eventlog::Options options;
-  options.ring_capacity = 8;
-  const ScopedRecorder recorder(options);
-  for (int i = 0; i < 20; ++i)
+  const ScopedRecorder recorder;
+  eventlog::Journal journal("wrap");
+  const eventlog::JournalScope scope(journal);
+  const int n = static_cast<int>(eventlog::kJournalCapacity) + 12;
+  for (int i = 0; i < n; ++i)
     eventlog::record(EventKind::kCustom, nullptr, nullptr, i);
   const eventlog::Stats stats = eventlog::stats();
-  EXPECT_EQ(stats.recorded, 20u);
+  EXPECT_EQ(stats.recorded, static_cast<std::uint64_t>(n));
   EXPECT_EQ(stats.dropped, 12u);
   const Json doc = eventlog::journalJson();
   EXPECT_EQ(doc.at("dropped").asNumber(), 12.0);
-  ASSERT_EQ(doc.at("events").size(), 8u);
-  // The window is the newest 8 events, oldest first.
-  EXPECT_EQ(doc.at("events").at(0).at("v0").asNumber(), 12.0);
-  EXPECT_EQ(doc.at("events").at(7).at("v0").asNumber(), 19.0);
+  ASSERT_EQ(doc.at("events").size(), eventlog::kJournalCapacity);
+  // The window is the newest events, oldest first, numbered by the
+  // journal's own seq.
+  const Json& oldest = doc.at("events").at(0);
+  EXPECT_EQ(oldest.at("seq").asNumber(), 12.0);
+  EXPECT_EQ(oldest.at("v0").asNumber(), 12.0);
+  const Json& newest =
+      doc.at("events").at(eventlog::kJournalCapacity - 1);
+  EXPECT_EQ(newest.at("seq").asNumber(), n - 1.0);
+  EXPECT_EQ(newest.at("v0").asNumber(), n - 1.0);
 }
 
-TEST(EventlogBasics, CapacityClampsToMinimum) {
-  eventlog::Options options;
-  options.ring_capacity = 1;
-  const ScopedRecorder recorder(options);
-  for (int i = 0; i < 10; ++i) eventlog::record(EventKind::kCustom);
-  EXPECT_EQ(eventlog::journalJson().at("ring_capacity").asNumber(), 8.0);
-  EXPECT_EQ(eventlog::journalJson().at("events").size(), 8u);
-}
-
-TEST(EventlogBasics, ScopedSessionLabelsNestAndTruncate) {
+TEST(EventlogBasics, RecordWithoutAJournalIsANoOp) {
   const ScopedRecorder recorder;
-  eventlog::record(EventKind::kCustom);
-  {
-    const eventlog::ScopedSession outer("outer");
-    eventlog::record(EventKind::kCustom);
-    {
-      const eventlog::ScopedSession inner(
-          "a-session-id-well-beyond-the-cap");
-      eventlog::record(EventKind::kCustom);
-    }
-    eventlog::record(EventKind::kCustom);
-  }
-  eventlog::record(EventKind::kCustom);
-  const Json doc = eventlog::journalJson();
-  ASSERT_EQ(doc.at("events").size(), 5u);
-  EXPECT_FALSE(doc.at("events").at(0).contains("session"));
-  EXPECT_EQ(doc.at("events").at(1).at("session").asString(), "outer");
-  const std::string truncated =
-      doc.at("events").at(2).at("session").asString();
-  EXPECT_EQ(truncated.size(), eventlog::kSessionIdCap - 1);
-  EXPECT_EQ(truncated,
-            std::string("a-session-id-well-beyond-the-cap")
-                .substr(0, eventlog::kSessionIdCap - 1));
-  EXPECT_EQ(doc.at("events").at(3).at("session").asString(), "outer");
-  EXPECT_FALSE(doc.at("events").at(4).contains("session"));
+  eventlog::record(EventKind::kCustom, "nobody");
+  EXPECT_EQ(eventlog::stats().recorded, 0u);
+  EXPECT_EQ(eventlog::journalJson().at("events").size(), 0u);
 }
 
-TEST(EventlogBasics, DeterministicModeSkipsInRegionRecords) {
-  const ScopedThreads threads(2);
+TEST(EventlogBasics, JournalLabelsTruncate) {
   const ScopedRecorder recorder;
-  parallel::parallelFor(16, [](std::size_t) {
-    eventlog::record(EventKind::kCustom, "from-body");
-  });
-  const eventlog::Stats stats = eventlog::stats();
-  EXPECT_EQ(stats.skipped_in_region, 16u);
-  // Only the dispatch event survives — recorded before the region flag
-  // flips, on the driver thread.
+  const std::string long_id = "a-session-id-well-beyond-the-cap";
+  eventlog::Journal journal(long_id);
+  const eventlog::JournalScope scope(journal);
+  eventlog::record(EventKind::kCustom);
   const Json doc = eventlog::journalJson();
   ASSERT_EQ(doc.at("events").size(), 1u);
-  EXPECT_EQ(doc.at("events").at(0).at("kind").asString(),
-            "pool_dispatch");
-  EXPECT_EQ(doc.at("events").at(0).at("v0").asNumber(), 16.0);
+  const std::string label = doc.at("events").at(0).at("session").asString();
+  EXPECT_EQ(label.size(), eventlog::kSessionIdCap - 1);
+  EXPECT_EQ(label, long_id.substr(0, eventlog::kSessionIdCap - 1));
 }
 
-TEST(EventlogBasics, WallClockModeStampsAndKeepsInRegionRecords) {
-  const ScopedThreads threads(2);
+TEST(EventlogBasics, JournalScopesNestAndRestore) {
+  const ScopedRecorder recorder;
+  eventlog::Journal outer("outer");
+  eventlog::Journal inner("inner");
+  {
+    const eventlog::JournalScope outer_scope(outer);
+    eventlog::record(EventKind::kCustom, nullptr, nullptr, 1);
+    {
+      const eventlog::JournalScope inner_scope(inner);
+      eventlog::record(EventKind::kCustom, nullptr, nullptr, 2);
+    }
+    eventlog::record(EventKind::kCustom, nullptr, nullptr, 3);
+  }
+  eventlog::record(EventKind::kCustom, nullptr, nullptr, 4);  // no journal
+  // Slot order is first-record order: outer's window, then inner's.
+  const Json doc = eventlog::journalJson();
+  EXPECT_EQ(doc.at("recorded").asNumber(), 3.0);
+  ASSERT_EQ(doc.at("events").size(), 3u);
+  const Json& events = doc.at("events");
+  EXPECT_EQ(events.at(0).at("session").asString(), "outer");
+  EXPECT_EQ(events.at(0).at("v0").asNumber(), 1.0);
+  EXPECT_EQ(events.at(1).at("session").asString(), "outer");
+  EXPECT_EQ(events.at(1).at("seq").asNumber(), 1.0);
+  EXPECT_EQ(events.at(1).at("v0").asNumber(), 3.0);
+  EXPECT_EQ(events.at(2).at("session").asString(), "inner");
+  EXPECT_EQ(events.at(2).at("seq").asNumber(), 0.0);
+  EXPECT_EQ(events.at(2).at("v0").asNumber(), 2.0);
+}
+
+TEST(EventlogBasics, FullTableCountsUnslottedRecordsAsDropped) {
+  const ScopedRecorder recorder;
+  std::vector<std::unique_ptr<eventlog::Journal>> journals;
+  for (std::size_t i = 0; i <= eventlog::kMaxJournals; ++i) {
+    journals.push_back(
+        std::make_unique<eventlog::Journal>("j" + std::to_string(i)));
+    const eventlog::JournalScope scope(*journals.back());
+    eventlog::record(EventKind::kCustom);
+  }
+  // The journal past the table journals nothing, and says so.
+  const eventlog::Stats stats = eventlog::stats();
+  EXPECT_EQ(stats.recorded, eventlog::kMaxJournals + 1);
+  EXPECT_EQ(stats.dropped, 1u);
+  const Json doc = eventlog::journalJson();
+  ASSERT_EQ(doc.at("events").size(), eventlog::kMaxJournals);
+  EXPECT_EQ(doc.at("events").at(eventlog::kMaxJournals - 1)
+                .at("session")
+                .asString(),
+            "j" + std::to_string(eventlog::kMaxJournals - 1));
+}
+
+TEST(EventlogBasics, WallClockModeStampsEveryEvent) {
   eventlog::Options options;
   options.wall_clock = true;
   const ScopedRecorder recorder(options);
-  parallel::parallelFor(4, [](std::size_t) {
-    eventlog::record(EventKind::kCustom, "from-body");
-  });
-  const eventlog::Stats stats = eventlog::stats();
-  EXPECT_EQ(stats.skipped_in_region, 0u);
-  EXPECT_EQ(stats.recorded, 5u);  // dispatch + 4 body records
+  eventlog::Journal journal("wall");
+  const eventlog::JournalScope scope(journal);
+  for (int i = 0; i < 4; ++i) eventlog::record(EventKind::kCustom);
+  EXPECT_EQ(eventlog::stats().recorded, 4u);
   const Json doc = eventlog::journalJson();
   EXPECT_FALSE(doc.at("deterministic").asBool());
+  ASSERT_EQ(doc.at("events").size(), 4u);
   for (const Json& event : doc.at("events").items()) {
     ASSERT_TRUE(event.contains("ts_ns"));
     EXPECT_GE(event.at("ts_ns").asNumber(), 0.0);
@@ -204,6 +232,8 @@ TEST(EventlogBasics, WallClockModeStampsAndKeepsInRegionRecords) {
 
 TEST(EventlogBasics, ContractViolationIsJournalledBeforeTheThrow) {
   const ScopedRecorder recorder;
+  eventlog::Journal journal("violator");
+  const eventlog::JournalScope scope(journal);
   EXPECT_THROW(MFBO_CHECK(1 == 2, "eventlog test violation"),
                ContractViolation);
   const Json doc = eventlog::journalJson();
@@ -221,6 +251,8 @@ TEST(EventlogBasics, ContractViolationDumpsWhenADumpDirIsConfigured) {
   eventlog::Options options;
   options.dump_dir = dir;
   const ScopedRecorder recorder(options);
+  eventlog::Journal journal("violator");
+  const eventlog::JournalScope scope(journal);
   EXPECT_THROW(MFBO_CHECK(false, "boom"), ContractViolation);
   const std::string dump = findDump(dir);
   ASSERT_FALSE(dump.empty());
@@ -235,7 +267,8 @@ TEST(EventlogBasics, ContractViolationDumpsWhenADumpDirIsConfigured) {
 TEST(EventlogBasics, ExplicitDumpMatchesJournalJson) {
   const std::string dir = uniqueDir("eventlog_dump");
   const ScopedRecorder recorder;
-  const eventlog::ScopedSession label("dump-me");
+  eventlog::Journal journal("dump-me");
+  const eventlog::JournalScope scope(journal);
   eventlog::record(EventKind::kCustom, "alpha", nullptr, 1, 2);
   eventlog::record(EventKind::kSessionStep, nullptr, nullptr, 3);
   const std::string path = dir + "/explicit.jsonl";
@@ -266,52 +299,92 @@ TEST(EventlogBasics, SignalHandlerRequiresADumpDir) {
   EXPECT_THROW(eventlog::enable(options), ContractViolation);
 }
 
-/// The service-layer workload the determinism tests drive: a small fleet
-/// through the manager, journalling the full event narrative.
+/// Session @p i of the small fleet the service-layer tests drive: past
+/// init, so fidelity decisions reach the journal.
+service::SessionSpec fleetSpec(std::size_t i) {
+  service::SessionSpec spec;
+  spec.id = "s" + std::to_string(i);
+  spec.problem = [] {
+    return std::make_unique<problems::ConstrainedQuadraticProblem>(2);
+  };
+  const std::uint64_t seed = 1000 + i;
+  spec.engine = [seed](bo::Problem& problem) {
+    bo::MfboOptions opt;
+    opt.n_init_low = 4;
+    opt.n_init_high = 2;
+    opt.budget = 4.0;  // past init: fidelity decisions in the journal
+    opt.gamma = 0.5;
+    opt.retrain_every = 2;
+    opt.batch_size = 1 + seed % 2;
+    opt.x_star_seeds = 2;
+    opt.msp.n_starts = 2;
+    opt.msp.local.max_evaluations = 20;
+    opt.nargp.n_mc = 8;
+    opt.nargp.low.n_restarts = 1;
+    opt.nargp.high.n_restarts = 1;
+    return std::make_unique<bo::MfboEngine>(problem, seed, opt);
+  };
+  return spec;
+}
+
+/// The fleet through the manager's serial scheduler, journalling the
+/// full event narrative.
 void runFleet(std::size_t n_sessions) {
   service::SessionManager manager;
-  for (std::size_t i = 0; i < n_sessions; ++i) {
-    service::SessionSpec spec;
-    spec.id = "s" + std::to_string(i);
-    spec.problem = [] {
-      return std::make_unique<problems::ConstrainedQuadraticProblem>(2);
-    };
-    const std::uint64_t seed = 1000 + i;
-    spec.engine = [seed](bo::Problem& problem) {
-      bo::MfboOptions opt;
-      opt.n_init_low = 4;
-      opt.n_init_high = 2;
-      opt.budget = 4.0;  // past init: fidelity decisions in the journal
-      opt.gamma = 0.5;
-      opt.retrain_every = 2;
-      opt.batch_size = 1 + seed % 2;
-      opt.x_star_seeds = 2;
-      opt.msp.n_starts = 2;
-      opt.msp.local.max_evaluations = 20;
-      opt.nargp.n_mc = 8;
-      opt.nargp.low.n_restarts = 1;
-      opt.nargp.high.n_restarts = 1;
-      return std::make_unique<bo::MfboEngine>(problem, seed, opt);
-    };
-    manager.create(std::move(spec));
-  }
+  for (std::size_t i = 0; i < n_sessions; ++i)
+    manager.create(fleetSpec(i));
   manager.runAll();
 }
 
+TEST(EventlogBasics, DestroyedSessionWindowStaysUntilItsSlotIsReused) {
+  const ScopedRecorder recorder;
+  service::SessionManager manager;
+  manager.create(fleetSpec(0));
+  manager.create(fleetSpec(1));
+  manager.stepRound();
+  manager.destroy("s0");
+  // s0's slot is released, but its window stays first in the dump and
+  // ends with the destroy event.
+  Json doc = eventlog::journalJson();
+  std::size_t s0_events = 0;
+  for (const Json& event : doc.at("events").items())
+    if (event.at("session").asString() == "s0") ++s0_events;
+  ASSERT_GE(s0_events, 2u);
+  EXPECT_EQ(doc.at("events").at(0).at("kind").asString(),
+            "session_create");
+  const Json& s0_last = doc.at("events").at(s0_events - 1);
+  EXPECT_EQ(s0_last.at("session").asString(), "s0");
+  EXPECT_EQ(s0_last.at("kind").asString(), "session_destroy");
+  EXPECT_EQ(doc.at("events").at(s0_events).at("session").asString(), "s1");
+  const eventlog::Stats before = eventlog::stats();
+  EXPECT_EQ(before.dropped, 0u);
+
+  // The next journal to record claims the lowest free slot, s0's, and its
+  // window leaves the dump (counted as dropped).
+  manager.create(fleetSpec(2));
+  doc = eventlog::journalJson();
+  for (const Json& event : doc.at("events").items())
+    EXPECT_NE(event.at("session").asString(), "s0");
+  EXPECT_EQ(doc.at("events").at(0).at("session").asString(), "s2");
+  EXPECT_EQ(doc.at("events").at(0).at("seq").asNumber(), 0.0);
+  const eventlog::Stats after = eventlog::stats();
+  EXPECT_EQ(after.recorded, before.recorded + 1);
+  EXPECT_EQ(after.dropped, s0_events);
+  EXPECT_EQ(after.recorded - after.dropped, doc.at("events").size());
+}
+
 TEST(EventlogDeterminism, JournalBytesIdenticalAtOneAndFourThreads) {
-  eventlog::Options options;
-  options.ring_capacity = 4096;  // no wrap: compare complete journals
   std::string journal_1thread;
   {
     const ScopedThreads threads(1);
-    const ScopedRecorder recorder(options);
+    const ScopedRecorder recorder;
     runFleet(2);
     journal_1thread = eventlog::journalJson().dump();
   }
   std::string journal_4threads;
   {
     const ScopedThreads threads(4);
-    const ScopedRecorder recorder(options);
+    const ScopedRecorder recorder;
     runFleet(2);
     journal_4threads = eventlog::journalJson().dump();
   }
@@ -326,25 +399,81 @@ TEST(EventlogDeterminism, JournalBytesIdenticalAtOneAndFourThreads) {
 
 TEST(EventlogDeterminism, DumpFileBytesIdenticalAtOneAndFourThreads) {
   const std::string dir = uniqueDir("eventlog_det_dump");
-  eventlog::Options options;
-  options.ring_capacity = 4096;
   const std::string path_a = dir + "/a.jsonl";
   const std::string path_b = dir + "/b.jsonl";
   {
     const ScopedThreads threads(1);
-    const ScopedRecorder recorder(options);
+    const ScopedRecorder recorder;
     runFleet(2);
     ASSERT_TRUE(eventlog::dumpFlightRecorder(path_a.c_str()));
   }
   {
     const ScopedThreads threads(4);
-    const ScopedRecorder recorder(options);
+    const ScopedRecorder recorder;
     runFleet(2);
     ASSERT_TRUE(eventlog::dumpFlightRecorder(path_b.c_str()));
   }
   const std::vector<std::string> a = readLines(path_a);
   const std::vector<std::string> b = readLines(path_b);
   EXPECT_EQ(a, b);
+}
+
+/// What a deterministic-mode fleet run leaves behind: the journal, the
+/// dump file, every session's result, and the recorder's drop count.
+struct FleetRecord {
+  std::string journal;
+  std::vector<std::string> dump;
+  std::vector<std::string> results;
+  std::uint64_t dropped = 0;
+};
+
+/// Run a 4-session fleet to completion. Serially it is runAll() at one
+/// thread; pooled, every round steps each running session as one
+/// parallelFor task at four threads, so sessions step concurrently on the
+/// pool's workers and the caller.
+FleetRecord recordFleet(bool pooled, const std::string& dump_path) {
+  const ScopedThreads threads(pooled ? 4 : 1);
+  const ScopedRecorder recorder;
+  service::SessionManager manager;
+  for (std::size_t i = 0; i < 4; ++i) manager.create(fleetSpec(i));
+  if (pooled) {
+    for (;;) {
+      std::vector<service::Session*> running;
+      for (const std::string& id : manager.ids())
+        if (manager.session(id).status() == service::SessionStatus::kRunning)
+          running.push_back(&manager.session(id));
+      if (running.empty()) break;
+      parallel::parallelFor(running.size(),
+                            [&](std::size_t i) { running[i]->step(); });
+    }
+  } else {
+    manager.runAll();
+  }
+  FleetRecord record;
+  record.journal = eventlog::journalJson().dump();
+  record.dropped = eventlog::stats().dropped;
+  EXPECT_TRUE(eventlog::dumpFlightRecorder(dump_path.c_str()));
+  record.dump = readLines(dump_path);
+  for (const std::string& id : manager.ids())
+    record.results.push_back(manager.session(id).resultJson().dump());
+  return record;
+}
+
+TEST(EventlogDeterminism, PooledSessionStepsJournalLikeSerialRunAll) {
+  const std::string dir = uniqueDir("eventlog_pooled");
+  const FleetRecord serial = recordFleet(false, dir + "/serial.jsonl");
+  const FleetRecord pooled = recordFleet(true, dir + "/pooled.jsonl");
+  EXPECT_EQ(serial.dropped, 0u);
+  EXPECT_EQ(pooled.dropped, 0u);
+  EXPECT_EQ(serial.journal, pooled.journal);
+  EXPECT_EQ(serial.dump, pooled.dump);
+  EXPECT_EQ(serial.results, pooled.results);
+  // Every session's narrative is there, in its own journal.
+  for (const char* needle :
+       {"\"session\":\"s0\"", "\"session\":\"s3\"", "session_step",
+        "engine_transition", "fidelity_decision", "session_done"})
+    EXPECT_NE(serial.journal.find(needle), std::string::npos)
+        << "journal is missing " << needle;
 }
 
 // Death tests: the child process crashes with the recorder armed, the
@@ -360,7 +489,8 @@ TEST(FlightrecDeath, SigabrtLeavesASchemaValidDump) {
         options.dump_dir = dir;
         options.install_signal_handler = true;
         eventlog::enable(options);
-        const eventlog::ScopedSession label("doomed");
+        eventlog::Journal journal("doomed");
+        const eventlog::JournalScope scope(journal);
         eventlog::record(EventKind::kSessionStep, nullptr, nullptr, 41);
         eventlog::record(EventKind::kEngineTransition, "propose",
                          "await_results", 41);
@@ -373,7 +503,7 @@ TEST(FlightrecDeath, SigabrtLeavesASchemaValidDump) {
   ASSERT_GE(lines.size(), 3u);
   const Json header = Json::parse(lines.front());
   EXPECT_EQ(header.at("format").asString(), "mfbo-flightrec");
-  EXPECT_EQ(header.at("version").asNumber(), 1.0);
+  EXPECT_EQ(header.at("version").asNumber(), 2.0);
   EXPECT_FALSE(header.at("deterministic").asBool());
   // The final events identify what was in flight when the process died.
   const Json last = Json::parse(lines.back());
@@ -398,7 +528,8 @@ TEST(FlightrecDeath, UncaughtContractViolationLeavesADump) {
           options.dump_dir = dir;
           options.install_signal_handler = true;
           eventlog::enable(options);
-          const eventlog::ScopedSession label("contract");
+          eventlog::Journal journal("contract");
+          const eventlog::JournalScope scope(journal);
           eventlog::record(EventKind::kSessionStep);
           MFBO_CHECK(false, "uncaught on purpose");
         }();

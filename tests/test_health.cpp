@@ -168,7 +168,7 @@ TEST(ManagerHealth, FleetSnapshotHasTheV1Envelope) {
   manager.stepRound();
   Json doc = manager.healthJson();
   EXPECT_EQ(doc.at("format").asString(), "mfbo-health");
-  EXPECT_EQ(doc.at("version").asNumber(), 1.0);
+  EXPECT_EQ(doc.at("version").asNumber(), 2.0);
   EXPECT_EQ(doc.at("rounds").asNumber(), 2.0);
   ASSERT_EQ(doc.at("sessions").size(), 2u);
   EXPECT_EQ(doc.at("sessions").at(0).at("session").asString(), "a");
@@ -180,8 +180,9 @@ TEST(ManagerHealth, FleetSnapshotHasTheV1Envelope) {
   EXPECT_GT(pool.at("regions").asNumber(), 0.0);
   const Json& journal = doc.at("eventlog");
   EXPECT_TRUE(journal.at("enabled").isBool());
-  for (const char* key : {"recorded", "dropped", "skipped_in_region"})
+  for (const char* key : {"recorded", "dropped"})
     EXPECT_TRUE(journal.contains(key)) << key;
+  EXPECT_FALSE(journal.contains("skipped_in_region"));
 }
 
 TEST(ManagerHealth, ExpositionRendersEveryFamilyDeterministically) {

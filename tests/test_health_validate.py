@@ -4,9 +4,10 @@ Drives tools/health_validate.py in-process on synthetic inputs: a
 well-formed mfbo-health document, a well-formed exposition, and a
 well-formed flightrec dump must all validate clean, and each class of
 schema violation the contract pins (broken envelope, non-monotone
-quantiles, unlabelled samples, seq regressions, mode/timestamp
-mismatches, missing required kinds, no identifiable in-flight session)
-must be rejected with a non-zero exit. No C++ binaries needed.
+quantiles, unlabelled samples, seq regressions within a session,
+unlabelled events, mode/timestamp mismatches, missing required kinds, no
+identifiable in-flight session) must be rejected with a non-zero exit.
+No C++ binaries needed.
 """
 
 import contextlib
@@ -50,7 +51,7 @@ def session(sid="s0", **overrides) -> dict:
 def health_doc(**overrides) -> dict:
     doc = {
         "format": "mfbo-health",
-        "version": 1,
+        "version": 2,
         "rounds": 3,
         "sessions": [session("s0"), session("s1", status="done")],
         "pool": {
@@ -64,7 +65,6 @@ def health_doc(**overrides) -> dict:
             "enabled": True,
             "recorded": 99,
             "dropped": 0,
-            "skipped_in_region": 12,
         },
     }
     doc.update(overrides)
@@ -98,13 +98,12 @@ def event(seq, kind, ts=None, sid=None, **rest) -> dict:
 def flightrec_lines(events, deterministic=False, **header_overrides):
     header = {
         "format": "mfbo-flightrec",
-        "version": 1,
+        "version": 2,
         "pid": 1234,
         "deterministic": deterministic,
         "ring_capacity": 256,
         "recorded": len(events),
         "dropped": 0,
-        "skipped_in_region": 0,
         "events": len(events),
     }
     header.update(header_overrides)
@@ -136,7 +135,7 @@ class HealthDocumentTest(unittest.TestCase):
 
     def test_broken_envelope_is_rejected(self):
         problems = health_validate.validate_health(
-            health_doc(format="other", version=2))
+            health_doc(format="other", version=3))
         self.assertTrue(any("format" in p for p in problems))
         self.assertTrue(any("version" in p for p in problems))
 
@@ -156,6 +155,10 @@ class HealthDocumentTest(unittest.TestCase):
         problems = health_validate.validate_health(
             health_doc(sessions=[session(status="zombie")]))
         self.assertTrue(any("zombie" in p for p in problems))
+
+    def test_version_one_document_is_rejected(self):
+        problems = health_validate.validate_health(health_doc(version=1))
+        self.assertTrue(any("version" in p for p in problems))
 
     def test_missing_pool_and_eventlog_are_rejected(self):
         doc = health_doc()
@@ -230,10 +233,34 @@ class FlightrecTest(unittest.TestCase):
         problems = self.check(flightrec_lines(events))
         self.assertTrue(any("not increasing" in p for p in problems))
 
+    def test_seq_counts_per_session(self):
+        # Each journal numbers its own events: a second session's window
+        # starts again at 0.
+        events = wall_events() + [
+            event(0, "session_create", ts=15, sid="s1", a="mfbo"),
+            event(1, "engine_transition", ts=25, sid="s1"),
+        ]
+        self.assertEqual(self.check(flightrec_lines(events)), [])
+
+    def test_event_without_session_is_rejected(self):
+        events = [event(0, "session_step", ts=1, v0=1)]
+        problems = self.check(flightrec_lines(events))
+        self.assertTrue(any("missing string 'session'" in p
+                            for p in problems))
+
     def test_unknown_kind_is_rejected(self):
-        events = [event(0, "teleport", ts=1)]
+        events = [event(0, "teleport", ts=1, sid="s0")]
         problems = self.check(flightrec_lines(events))
         self.assertTrue(any("teleport" in p for p in problems))
+
+    def test_pool_dispatch_is_no_longer_a_kind(self):
+        events = [event(0, "pool_dispatch", ts=1, sid="s0", v0=8)]
+        problems = self.check(flightrec_lines(events))
+        self.assertTrue(any("pool_dispatch" in p for p in problems))
+
+    def test_version_one_dump_is_rejected(self):
+        problems = self.check(flightrec_lines(wall_events(), version=1))
+        self.assertTrue(any("version" in p for p in problems))
 
     def test_deterministic_dump_with_timestamps_is_rejected(self):
         lines = flightrec_lines(wall_events(), deterministic=True)
@@ -256,15 +283,37 @@ class FlightrecTest(unittest.TestCase):
         self.assertEqual(
             self.check(flightrec_lines(wall_events()), inflight=True), [])
 
-    def test_inflight_gate_rejects_unlabelled_window(self):
-        events = [event(0, "pool_dispatch", ts=1, v0=8)]
-        problems = self.check(flightrec_lines(events), inflight=True)
-        self.assertTrue(any("no session-labelled" in p for p in problems))
+    def test_inflight_gate_rejects_an_empty_window(self):
+        problems = self.check(flightrec_lines([]), inflight=True)
+        self.assertTrue(any("names no session" in p for p in problems))
 
     def test_inflight_gate_needs_an_engine_transition(self):
         events = [event(0, "session_step", ts=1, sid="s0", v0=1)]
         problems = self.check(flightrec_lines(events), inflight=True)
         self.assertTrue(any("engine_transition" in p for p in problems))
+
+    def test_inflight_gate_follows_the_newest_stamp(self):
+        # s1's window comes last in the file, but s0 recorded last: the
+        # gate judges s0, which has a transition.
+        s1 = [event(0, "session_step", ts=12, sid="s1", v0=1)]
+        self.assertEqual(
+            self.check(flightrec_lines(wall_events() + s1), inflight=True),
+            [])
+        # Once s1 holds the newest stamp, its missing transition counts.
+        s1[0]["ts_ns"] = 60
+        problems = self.check(flightrec_lines(wall_events() + s1),
+                              inflight=True)
+        self.assertTrue(any("'s1'" in p for p in problems))
+
+    def test_inflight_gate_takes_the_last_line_when_deterministic(self):
+        s0 = [event(0, "engine_transition", sid="s0")]
+        s1 = [event(0, "session_step", sid="s1", v0=1)]
+        self.assertEqual(
+            self.check(flightrec_lines(s1 + s0, deterministic=True),
+                       inflight=True), [])
+        problems = self.check(flightrec_lines(s0 + s1, deterministic=True),
+                              inflight=True)
+        self.assertTrue(any("'s1'" in p for p in problems))
 
 
 class CliTest(unittest.TestCase):

@@ -69,7 +69,7 @@ def fixture_config() -> Config:
                 "frame close must dispatch the emit hook",
             ),
             # Journal hook-site pair, mirroring the real eventlog
-            # couplings (kSessionStep, kPoolDispatch, ...).
+            # couplings (kSessionStep, JournalScope, ...).
             Coupling(
                 "src/demo/o003_nojournal.cpp",
                 "journalHook",

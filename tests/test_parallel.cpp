@@ -107,6 +107,16 @@ TEST(MaxThreads, MalformedEnvironmentFallsBackToHardware) {
     const ScopedEnv env("MFBO_THREADS", "");
     EXPECT_EQ(parallel::maxThreads(), expected);
   }
+  // Past std::size_t, an unchecked digit-by-digit parse wraps: the first
+  // to 7766279631452241920 threads, the second (2^64 + 1) to 1.
+  {
+    const ScopedEnv env("MFBO_THREADS", "100000000000000000000");
+    EXPECT_EQ(parallel::maxThreads(), expected);
+  }
+  {
+    const ScopedEnv env("MFBO_THREADS", "18446744073709551617");
+    EXPECT_EQ(parallel::maxThreads(), expected);
+  }
   {
     const ScopedEnv env("MFBO_THREADS", nullptr);
     EXPECT_EQ(parallel::maxThreads(), expected);

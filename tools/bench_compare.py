@@ -54,7 +54,7 @@ HIGHER_IS_BETTER = {"speedup"}
 # Machine-state and recorder-telemetry paths compared never, not exactly:
 # peak RSS is whatever the OS measured, health snapshots and latency-
 # histogram quantiles are wall-clock SLO data, and the flight recorder's
-# drop count depends on how much the wall-clock mode journalled.
+# drop count is recorder telemetry, not a result.
 DEFAULT_IGNORE = (
     "*peak_rss*",
     "health.*",

@@ -3,7 +3,7 @@
 
 Three input kinds, any combination:
 
-  * --health FILE     the "mfbo-health" v1 JSON document written by
+  * --health FILE     the "mfbo-health" v2 JSON document written by
                       SessionManager::healthJson() / the micro_sessions
                       --health flag. Pins the envelope, the per-session
                       SLO fields (steps, iterations, checkpoint age,
@@ -14,20 +14,23 @@ Three input kinds, any combination:
                       sample line parses as `name{labels} value`, every
                       family has exactly one `# TYPE` header, quantile
                       summaries carry _sum and _count.
-  * --flightrec FILE  a flightrec.<pid>.jsonl black-box dump. Pins the
-                      header line (format/version/counters), every
-                      event line (known kind, strictly increasing seq),
-                      and the mode contract: deterministic dumps carry
-                      no ts_ns, wall-clock dumps stamp every event.
+  * --flightrec FILE  a flightrec.<pid>.jsonl black-box dump (v2: one
+                      window per session journal). Pins the header line
+                      (format/version/counters), every event line
+                      (known kind, session label, seq strictly
+                      increasing within its session), and the mode
+                      contract: deterministic dumps carry no ts_ns,
+                      wall-clock dumps stamp every event.
 
 Gates for CI:
 
   * --require-kind KIND   (repeatable) at least one event of KIND must
                           be present in the flight-recorder dump.
-  * --require-inflight    the dump's final events must identify what
-                          the fleet was doing when it stopped: the last
-                          session-labelled event names a session, and
-                          an engine_transition for that session appears
+  * --require-inflight    the dump must identify what the fleet was
+                          doing when it stopped: the newest event (the
+                          largest ts_ns; the last line of a
+                          deterministic dump) names a session, and an
+                          engine_transition for that session appears
                           in the window.
 
 Exit status: 0 valid, 1 invalid, 2 usage/IO error.
@@ -50,7 +53,6 @@ EVENT_KINDS = {
     "fidelity_decision",
     "checkpoint_persist",
     "checkpoint_restore",
-    "pool_dispatch",
     "contract_violation",
     "custom",
 }
@@ -70,7 +72,7 @@ LATENCY_FIELDS = ("count", "total_s", "p50_s", "p90_s", "p99_s")
 POOL_FIELDS = ("workers", "regions", "pooled_regions", "chunks",
                "queue_depth")
 
-EVENTLOG_FIELDS = ("recorded", "dropped", "skipped_in_region")
+EVENTLOG_FIELDS = ("recorded", "dropped")
 
 SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -90,8 +92,8 @@ def validate_health(doc: object) -> list[str]:
         return ["health document is not a JSON object"]
     if doc.get("format") != "mfbo-health":
         problems.append("health: format is not 'mfbo-health'")
-    if doc.get("version") != 1:
-        problems.append("health: version is not 1")
+    if doc.get("version") != 2:
+        problems.append("health: version is not 2")
     if not is_number(doc.get("rounds")):
         problems.append("health: missing numeric 'rounds'")
 
@@ -209,14 +211,13 @@ def validate_flightrec(lines: list[str], require_kinds: list[str],
         return ["flightrec header: not a JSON object"]
     if header.get("format") != "mfbo-flightrec":
         problems.append("flightrec: format is not 'mfbo-flightrec'")
-    if header.get("version") != 1:
-        problems.append("flightrec: version is not 1")
+    if header.get("version") != 2:
+        problems.append("flightrec: version is not 2")
     deterministic = header.get("deterministic")
     if not isinstance(deterministic, bool):
         problems.append("flightrec: missing boolean 'deterministic'")
         deterministic = False
-    for key in ("pid", "ring_capacity", "recorded", "dropped",
-                "skipped_in_region", "events"):
+    for key in ("pid", "ring_capacity", "recorded", "dropped", "events"):
         if not is_number(header.get(key)):
             problems.append(f"flightrec: header missing numeric '{key}'")
     if is_number(header.get("events")) and \
@@ -226,7 +227,7 @@ def validate_flightrec(lines: list[str], require_kinds: list[str],
             f"file has {len(lines) - 1}")
 
     events: list[dict] = []
-    last_seq = -1
+    last_seq: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"flightrec line {lineno}"
         try:
@@ -238,12 +239,17 @@ def validate_flightrec(lines: list[str], require_kinds: list[str],
             problems.append(f"{where}: not an object")
             continue
         events.append(event)
+        session = event.get("session")
+        if not isinstance(session, str):
+            problems.append(f"{where}: missing string 'session'")
+            session = ""
         if not is_number(event.get("seq")):
             problems.append(f"{where}: missing numeric 'seq'")
-        elif event["seq"] <= last_seq:
-            problems.append(f"{where}: seq {event['seq']} not increasing")
+        elif event["seq"] <= last_seq.get(session, -1):
+            problems.append(f"{where}: seq {event['seq']} not increasing "
+                            f"in session '{session}'")
         else:
-            last_seq = event["seq"]
+            last_seq[session] = event["seq"]
         kind = event.get("kind")
         if kind not in EVENT_KINDS:
             problems.append(f"{where}: unknown kind {kind!r}")
@@ -259,22 +265,23 @@ def validate_flightrec(lines: list[str], require_kinds: list[str],
             problems.append(f"flightrec: required kind '{kind}' absent")
 
     if require_inflight:
-        labelled = [e for e in events if isinstance(e.get("session"), str)]
-        if not labelled:
+        # Windows are written per session, so the newest event is the one
+        # with the largest stamp; a deterministic dump has no stamps and
+        # its last line stands in.
+        newest = events[-1] if events else None
+        if not deterministic:
+            stamped = [e for e in events if is_number(e.get("ts_ns"))]
+            newest = max(stamped, key=lambda e: e["ts_ns"], default=None)
+        session = newest.get("session") if newest else None
+        if not isinstance(session, str) or not session:
             problems.append(
-                "flightrec: --require-inflight but no session-labelled "
-                "events in the window")
-        else:
-            last_session = labelled[-1]["session"]
-            transitions = [
-                e for e in labelled
-                if e.get("kind") == "engine_transition"
-                and e["session"] == last_session
-            ]
-            if not transitions:
-                problems.append(
-                    f"flightrec: no engine_transition for in-flight "
-                    f"session '{last_session}' in the window")
+                "flightrec: --require-inflight but the newest event names "
+                "no session")
+        elif not any(e.get("kind") == "engine_transition"
+                     and e.get("session") == session for e in events):
+            problems.append(
+                f"flightrec: no engine_transition for in-flight "
+                f"session '{session}' in the window")
     return problems
 
 
@@ -283,7 +290,7 @@ def main(argv: list[str]) -> int:
         description="Validate mfbo health snapshots and flight-recorder "
                     "dumps.")
     parser.add_argument("--health", type=Path,
-                        help="mfbo-health v1 JSON document")
+                        help="mfbo-health v2 JSON document")
     parser.add_argument("--prom", type=Path,
                         help="Prometheus-style exposition file")
     parser.add_argument("--flightrec", type=Path,
@@ -293,7 +300,7 @@ def main(argv: list[str]) -> int:
                         help="require at least one flightrec event of KIND "
                              "(repeatable)")
     parser.add_argument("--require-inflight", action="store_true",
-                        help="require the dump's final events to identify "
+                        help="require the dump's newest event to identify "
                              "the in-flight session and engine state")
     args = parser.parse_args(argv)
 

@@ -252,11 +252,10 @@ class Config:
             "on-disk black box is as fresh as the newest checkpoint",
         ),
         Coupling(
-            "src/common/parallel.cpp",
-            "kPoolDispatch",
-            "pool dispatches must be journalled at region entry (before "
-            "the in-region flag flips) or the deterministic journal loses "
-            "every fan-out event",
+            "src/service/session.cpp",
+            "JournalScope",
+            "every engine entry must run under the session's journal or "
+            "its transitions and fidelity decisions journal nothing",
         ),
     )
 
