@@ -245,6 +245,11 @@ struct AlgoStats {
 /// tracking) are therefore identical at any thread count. Per-run wall
 /// times are recorded unless --no-timing was given; the synthesis loops
 /// inside each repeat still run, nested, on their serial path.
+///
+/// The trace sink has a single writer: while one is installed (--trace),
+/// the repeats run one after another in repeat order, so each run's events
+/// stay contiguous and the trace bytes match at any thread count. Their
+/// inner parallel regions then use the pool.
 template <class Synthesizer, class ProblemFactory>
 void runRepeats(AlgoStats& stats, const Synthesizer& synthesizer,
                 ProblemFactory make_problem, std::size_t runs,
@@ -255,17 +260,22 @@ void runRepeats(AlgoStats& stats, const Synthesizer& synthesizer,
     bo::SynthesisResult result;
     double seconds = 0.0;
   };
-  std::vector<Repeat> repeats =
-      parallel::parallelMap(runs, [&](std::size_t r) {
-        auto problem = make_problem();
-        const auto start = std::chrono::steady_clock::now();
-        Repeat out;
-        out.result = synthesizer.run(problem, base_seed + r);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        out.seconds = elapsed.count();
-        return out;
-      });
+  const auto repeat = [&](std::size_t r) {
+    auto problem = make_problem();
+    const auto start = std::chrono::steady_clock::now();
+    Repeat out;
+    out.result = synthesizer.run(problem, base_seed + r);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    out.seconds = elapsed.count();
+    return out;
+  };
+  std::vector<Repeat> repeats;
+  if (telemetry::traceEnabled()) {
+    for (std::size_t r = 0; r < runs; ++r) repeats.push_back(repeat(r));
+  } else {
+    repeats = parallel::parallelMap(runs, repeat);
+  }
   for (const Repeat& r : repeats)
     stats.add(r.result, cfg.timing ? r.seconds : 0.0);
 }

@@ -3,159 +3,10 @@
 #include <cmath>
 #include <numbers>
 
-#include "circuit/linearize.h"
 #include "common/check.h"
 #include "linalg/matrix.h"
 
 namespace mfbo::circuit {
-
-namespace {
-
-constexpr double kGmin = 1e-12;
-
-/// Assemble the real (G) and imaginary (B = ω-scaled susceptance) parts of
-/// the small-signal MNA system at angular frequency @p omega, linearized
-/// at the DC solution @p op, plus the complex stimulus vector.
-void assembleAc(const Simulator& sim, const linalg::Vector& op, double omega,
-                linalg::Matrix& g, linalg::Matrix& b, linalg::Vector& rhs_re,
-                linalg::Vector& rhs_im) {
-  const Netlist& net = sim.netlist();
-  const std::size_t n = sim.dim();
-  const std::size_t n_nodes = net.numNodes();
-  g = linalg::Matrix(n, n);
-  b = linalg::Matrix(n, n);
-  rhs_re = linalg::Vector(n);
-  rhs_im = linalg::Vector(n);
-
-  auto nodeV = [&](NodeId id) {
-    return id == kGround ? 0.0 : op[static_cast<std::size_t>(id)];
-  };
-  auto add2 = [](linalg::Matrix& m, NodeId a, NodeId b2, double value) {
-    if (a != kGround)
-      m(static_cast<std::size_t>(a), static_cast<std::size_t>(a)) += value;
-    if (b2 != kGround)
-      m(static_cast<std::size_t>(b2), static_cast<std::size_t>(b2)) += value;
-    if (a != kGround && b2 != kGround) {
-      m(static_cast<std::size_t>(a), static_cast<std::size_t>(b2)) -= value;
-      m(static_cast<std::size_t>(b2), static_cast<std::size_t>(a)) -= value;
-    }
-  };
-  auto entry = [](linalg::Matrix& m, std::size_t row, NodeId col,
-                  double value) {
-    if (col != kGround) m(row, static_cast<std::size_t>(col)) += value;
-  };
-
-  for (std::size_t i = 0; i < n_nodes; ++i) g(i, i) += kGmin;
-
-  for (const Resistor& r : net.resistors()) add2(g, r.np, r.nn, 1.0 / r.r);
-  for (const Capacitor& c : net.capacitors())
-    add2(b, c.np, c.nn, omega * c.c);
-
-  // Voltage sources: branch rows v_np − v_nn = V_ac (0 for quiet sources).
-  {
-    const auto& srcs = net.vsources();
-    for (std::size_t k = 0; k < srcs.size(); ++k) {
-      const VSource& s = srcs[k];
-      const std::size_t br = sim.vsourceBranch(k);
-      if (s.np != kGround) {
-        g(static_cast<std::size_t>(s.np), br) += 1.0;
-        g(br, static_cast<std::size_t>(s.np)) += 1.0;
-      }
-      if (s.nn != kGround) {
-        g(static_cast<std::size_t>(s.nn), br) -= 1.0;
-        g(br, static_cast<std::size_t>(s.nn)) -= 1.0;
-      }
-      rhs_re[br] = s.ac_magnitude * std::cos(s.ac_phase);
-      rhs_im[br] = s.ac_magnitude * std::sin(s.ac_phase);
-    }
-  }
-
-  // Inductors: branch row v − jωL·i = 0.
-  {
-    const auto& inds = net.inductors();
-    for (std::size_t k = 0; k < inds.size(); ++k) {
-      const Inductor& ind = inds[k];
-      const std::size_t br = sim.inductorBranch(k);
-      if (ind.np != kGround) {
-        g(static_cast<std::size_t>(ind.np), br) += 1.0;
-        g(br, static_cast<std::size_t>(ind.np)) += 1.0;
-      }
-      if (ind.nn != kGround) {
-        g(static_cast<std::size_t>(ind.nn), br) -= 1.0;
-        g(br, static_cast<std::size_t>(ind.nn)) -= 1.0;
-      }
-      b(br, br) -= omega * ind.l;
-    }
-  }
-
-  // Current-source stimuli.
-  for (const ISource& s : net.isources()) {
-    const double re = s.ac_magnitude * std::cos(s.ac_phase);
-    const double im = s.ac_magnitude * std::sin(s.ac_phase);
-    if (s.nn != kGround) {
-      rhs_re[static_cast<std::size_t>(s.nn)] += re;
-      rhs_im[static_cast<std::size_t>(s.nn)] += im;
-    }
-    if (s.np != kGround) {
-      rhs_re[static_cast<std::size_t>(s.np)] -= re;
-      rhs_im[static_cast<std::size_t>(s.np)] -= im;
-    }
-  }
-
-  // Voltage-controlled sources.
-  {
-    const auto& es = net.vcvs();
-    for (std::size_t k = 0; k < es.size(); ++k) {
-      const Vcvs& e = es[k];
-      const std::size_t br = sim.vcvsBranch(k);
-      if (e.np != kGround) {
-        g(static_cast<std::size_t>(e.np), br) += 1.0;
-        g(br, static_cast<std::size_t>(e.np)) += 1.0;
-      }
-      if (e.nn != kGround) {
-        g(static_cast<std::size_t>(e.nn), br) -= 1.0;
-        g(br, static_cast<std::size_t>(e.nn)) -= 1.0;
-      }
-      entry(g, br, e.cp, -e.gain);
-      entry(g, br, e.cn, e.gain);
-    }
-  }
-  for (const Vccs& gsrc : net.vccs()) {
-    if (gsrc.np != kGround) {
-      entry(g, static_cast<std::size_t>(gsrc.np), gsrc.cp, gsrc.gm);
-      entry(g, static_cast<std::size_t>(gsrc.np), gsrc.cn, -gsrc.gm);
-    }
-    if (gsrc.nn != kGround) {
-      entry(g, static_cast<std::size_t>(gsrc.nn), gsrc.cp, -gsrc.gm);
-      entry(g, static_cast<std::size_t>(gsrc.nn), gsrc.cn, gsrc.gm);
-    }
-  }
-
-  // MOSFETs linearized at the operating point.
-  for (const Mosfet& m : net.mosfets()) {
-    const MosfetSmallSignal ss =
-        mosfetSmallSignal(m, nodeV(m.d), nodeV(m.g), nodeV(m.s));
-    const NodeId d = ss.d_eff, s = ss.s_eff, gn = ss.g;
-    if (d != kGround) {
-      entry(g, static_cast<std::size_t>(d), gn, ss.gm);
-      entry(g, static_cast<std::size_t>(d), s, -ss.gm);
-    }
-    if (s != kGround) {
-      entry(g, static_cast<std::size_t>(s), gn, -ss.gm);
-      entry(g, static_cast<std::size_t>(s), s, ss.gm);
-    }
-    add2(g, d, s, ss.gds);
-  }
-
-  // Diodes linearized at the operating point.
-  for (const Diode& dd : net.diodes()) {
-    const DiodeState st =
-        diodeEval(dd.params, nodeV(dd.np) - nodeV(dd.nn));
-    add2(g, dd.np, dd.nn, st.gd);
-  }
-}
-
-}  // namespace
 
 double AcResult::magnitudeDb(std::size_t k, NodeId node) const {
   return 20.0 * std::log10(std::max(std::abs(nodePhasor(k, node)), 1e-300));
@@ -180,15 +31,40 @@ AcResult acAnalysis(Simulator& sim, double f_start, double f_stop,
       std::ceil(decades * static_cast<double>(points_per_decade))) + 1;
 
   const std::size_t n = sim.dim();
+  // Stimulus phasors as the real embedding [Re b; Im b]: voltage sources
+  // drive their branch rows, current sources their nodes; every other
+  // source is quiet.
+  linalg::Vector rhs(2 * n);
+  const Netlist& net = sim.netlist();
+  for (std::size_t k = 0; k < net.vsources().size(); ++k) {
+    const VSource& s = net.vsources()[k];
+    const std::size_t br = sim.vsourceBranch(k);
+    rhs[br] = s.ac_magnitude * std::cos(s.ac_phase);
+    rhs[n + br] = s.ac_magnitude * std::sin(s.ac_phase);
+  }
+  for (const ISource& s : net.isources()) {
+    const double re = s.ac_magnitude * std::cos(s.ac_phase);
+    const double im = s.ac_magnitude * std::sin(s.ac_phase);
+    if (s.nn != kGround) {
+      rhs[static_cast<std::size_t>(s.nn)] += re;
+      rhs[n + static_cast<std::size_t>(s.nn)] += im;
+    }
+    if (s.np != kGround) {
+      rhs[static_cast<std::size_t>(s.np)] -= re;
+      rhs[n + static_cast<std::size_t>(s.np)] -= im;
+    }
+  }
+
   for (std::size_t k = 0; k < n_points; ++k) {
     const double f =
         f_start * std::pow(10.0, decades * static_cast<double>(k) /
                                      static_cast<double>(n_points - 1));
     const double omega = 2.0 * std::numbers::pi * f;
 
-    linalg::Matrix g, b;
-    linalg::Vector rhs_re, rhs_im;
-    assembleAc(sim, dc.solution, omega, g, b, rhs_re, rhs_im);
+    // G and the susceptance B, linearized at the operating point.
+    linalg::Matrix g(n, n), b(n, n);
+    sim.stampLinear(g, &b, 0.0, omega);
+    sim.stampNonlinear(g, nullptr, dc.solution);
 
     // Real embedding: [G −B; B G]·[xr; xi] = [br; bi].
     linalg::Matrix big(2 * n, 2 * n);
@@ -199,11 +75,6 @@ AcResult acAnalysis(Simulator& sim, double f_start, double f_stop,
         big(n + r, c) = b(r, c);
         big(n + r, n + c) = g(r, c);
       }
-    linalg::Vector rhs(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rhs[i] = rhs_re[i];
-      rhs[n + i] = rhs_im[i];
-    }
     linalg::Vector x;
     try {
       x = linalg::luSolve(std::move(big), rhs);

@@ -1,8 +1,9 @@
 // mfbo::circuit — small-signal linearization of netlist devices.
 //
-// Shared by the Newton assembly (simulator.cpp) and the AC analysis: maps
-// a MOSFET instance plus terminal voltages to the NMOS-normalized
-// effective terminals and the (gm, gds, i) triple of the operating point.
+// Shared by the simulator's nonlinear stamps (simulator.cpp, which also
+// serve the AC analysis) and the op-amp testbench's hand analysis: maps a
+// MOSFET instance plus terminal voltages to the NMOS-normalized effective
+// terminals and the (gm, gds, i) triple of the operating point.
 #pragma once
 
 #include "circuit/netlist.h"

@@ -1,8 +1,27 @@
 #include "circuit/netlist.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace mfbo::circuit {
+
+namespace {
+
+/// Throws std::invalid_argument unless @p value is finite.
+void requireFinite(double value, const char* what) {
+  if (!std::isfinite(value))
+    throw std::invalid_argument(std::string("Netlist: ") + what +
+                                " is not finite");
+}
+
+/// Throws std::invalid_argument unless @p value is finite and > 0.
+void requirePositive(double value, const char* what) {
+  requireFinite(value, what);
+  if (!(value > 0.0))
+    throw std::invalid_argument(std::string("Netlist: ") + what + " <= 0");
+}
+
+}  // namespace
 
 NodeId Netlist::node(const std::string& name) {
   if (name == "0" || name == "gnd" || name == "GND") return kGround;
@@ -32,7 +51,7 @@ std::size_t Netlist::addResistor(std::string name, NodeId np, NodeId nn,
                                  double r) {
   validateNode(np);
   validateNode(nn);
-  if (!(r > 0.0)) throw std::invalid_argument("Netlist: resistance <= 0");
+  requirePositive(r, "resistance");
   resistors_.push_back({std::move(name), np, nn, r});
   return resistors_.size() - 1;
 }
@@ -41,7 +60,7 @@ std::size_t Netlist::addCapacitor(std::string name, NodeId np, NodeId nn,
                                   double c) {
   validateNode(np);
   validateNode(nn);
-  if (!(c > 0.0)) throw std::invalid_argument("Netlist: capacitance <= 0");
+  requirePositive(c, "capacitance");
   capacitors_.push_back({std::move(name), np, nn, c});
   return capacitors_.size() - 1;
 }
@@ -50,7 +69,7 @@ std::size_t Netlist::addInductor(std::string name, NodeId np, NodeId nn,
                                  double l) {
   validateNode(np);
   validateNode(nn);
-  if (!(l > 0.0)) throw std::invalid_argument("Netlist: inductance <= 0");
+  requirePositive(l, "inductance");
   inductors_.push_back({std::move(name), np, nn, l});
   return inductors_.size() - 1;
 }
@@ -76,8 +95,11 @@ std::size_t Netlist::addMosfet(std::string name, NodeId d, NodeId g, NodeId s,
   validateNode(d);
   validateNode(g);
   validateNode(s);
-  if (!(params.w > 0.0) || !(params.l > 0.0) || !(params.kp > 0.0))
-    throw std::invalid_argument("Netlist: bad MOSFET geometry");
+  requirePositive(params.w, "MOSFET w");
+  requirePositive(params.l, "MOSFET l");
+  requirePositive(params.kp, "MOSFET kp");
+  requireFinite(params.vt0, "MOSFET vt");
+  requireFinite(params.lambda, "MOSFET lambda");
   mosfets_.push_back({std::move(name), d, g, s, params});
   return mosfets_.size() - 1;
 }
@@ -86,6 +108,9 @@ std::size_t Netlist::addDiode(std::string name, NodeId np, NodeId nn,
                               DiodeParams params) {
   validateNode(np);
   validateNode(nn);
+  requirePositive(params.is, "diode is");
+  requirePositive(params.n, "diode n");
+  requirePositive(params.vt, "diode vt");
   diodes_.push_back({std::move(name), np, nn, params});
   return diodes_.size() - 1;
 }
@@ -96,6 +121,7 @@ std::size_t Netlist::addVcvs(std::string name, NodeId np, NodeId nn,
   validateNode(nn);
   validateNode(cp);
   validateNode(cn);
+  requireFinite(gain, "VCVS gain");
   vcvs_.push_back({std::move(name), np, nn, cp, cn, gain});
   return vcvs_.size() - 1;
 }
@@ -106,6 +132,7 @@ std::size_t Netlist::addVccs(std::string name, NodeId np, NodeId nn,
   validateNode(nn);
   validateNode(cp);
   validateNode(cn);
+  requireFinite(gm, "VCCS gm");
   vccs_.push_back({std::move(name), np, nn, cp, cn, gm});
   return vccs_.size() - 1;
 }

@@ -89,6 +89,10 @@ class Netlist {
   /// Name of node @p id (for diagnostics).
   const std::string& nodeName(NodeId id) const;
 
+  /// The add* methods return the device's index. They throw
+  /// std::invalid_argument on a node id from another netlist or an invalid
+  /// value: R, C, L, MOSFET w/l/kp and diode is/n/vt must be finite and
+  /// > 0; MOSFET vt/lambda and the E/G gains must be finite.
   std::size_t addResistor(std::string name, NodeId np, NodeId nn, double r);
   std::size_t addCapacitor(std::string name, NodeId np, NodeId nn, double c);
   std::size_t addInductor(std::string name, NodeId np, NodeId nn, double l);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -19,6 +20,43 @@ std::string lower(std::string s) {
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
   throw std::invalid_argument("netlist line " + std::to_string(line) + ": " +
                               message);
+}
+
+/// The literal @p token times its SPICE magnitude suffix.
+double scaledValue(const std::string& token) {
+  if (token.empty()) throw std::invalid_argument("empty numeric token");
+  std::size_t consumed = 0;
+  double value;
+  try {
+    value = std::stod(token, &consumed);
+  } catch (const std::exception&) {
+    throw std::invalid_argument("bad numeric token '" + token + "'");
+  }
+  std::string suffix = lower(token.substr(consumed));
+  // Strip trailing unit letters after a recognized magnitude (e.g. "10uF").
+  if (suffix.empty()) return value;
+  if (suffix.rfind("meg", 0) == 0) return value * 1e6;
+  switch (suffix[0]) {
+    case 'f': return value * 1e-15;
+    case 'p': return value * 1e-12;
+    case 'n': return value * 1e-9;
+    case 'u': return value * 1e-6;
+    case 'm': return value * 1e-3;
+    case 'k': return value * 1e3;
+    case 'g': return value * 1e9;
+    case 't': return value * 1e12;
+    default:
+      throw std::invalid_argument("bad numeric suffix in '" + token + "'");
+  }
+}
+
+/// parseSpiceValue, failing with the deck line number.
+double number(const std::string& token, std::size_t line) {
+  try {
+    return parseSpiceValue(token);
+  } catch (const std::invalid_argument& e) {
+    fail(line, e.what());
+  }
 }
 
 /// Split a line into tokens; parentheses groups like SIN(0 1 2) are kept
@@ -62,7 +100,7 @@ std::vector<double> parenArgs(const std::string& token, std::size_t line) {
   std::istringstream iss(token.substr(open + 1, close - open - 1));
   std::vector<double> args;
   std::string t;
-  while (iss >> t) args.push_back(parseSpiceValue(t));
+  while (iss >> t) args.push_back(number(t, line));
   return args;
 }
 
@@ -80,7 +118,7 @@ void parseSource(const std::vector<std::string>& tokens, std::size_t line,
     const std::string kind = lower(tokens[i]);
     if (kind == "dc") {
       if (i + 1 >= tokens.size()) fail(line, "DC needs a value");
-      waveform = Waveform::dc(parseSpiceValue(tokens[i + 1]));
+      waveform = Waveform::dc(number(tokens[i + 1], line));
       have_waveform = true;
       i += 2;
     } else if (kind.rfind("sin", 0) == 0) {
@@ -100,7 +138,7 @@ void parseSource(const std::vector<std::string>& tokens, std::size_t line,
       ++i;
     } else if (kind == "ac") {
       if (i + 1 >= tokens.size()) fail(line, "AC needs a magnitude");
-      ac_mag = parseSpiceValue(tokens[i + 1]);
+      ac_mag = number(tokens[i + 1], line);
       i += 2;
       // Optional phase (radians).
       if (i < tokens.size()) {
@@ -113,7 +151,7 @@ void parseSource(const std::vector<std::string>& tokens, std::size_t line,
       }
     } else if (!have_waveform) {
       // Bare value ⇒ DC.
-      waveform = Waveform::dc(parseSpiceValue(tokens[i]));
+      waveform = Waveform::dc(number(tokens[i], line));
       have_waveform = true;
       ++i;
     } else {
@@ -125,30 +163,10 @@ void parseSource(const std::vector<std::string>& tokens, std::size_t line,
 }  // namespace
 
 double parseSpiceValue(const std::string& token) {
-  if (token.empty()) throw std::invalid_argument("empty numeric token");
-  std::size_t consumed = 0;
-  double value;
-  try {
-    value = std::stod(token, &consumed);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad numeric token '" + token + "'");
-  }
-  std::string suffix = lower(token.substr(consumed));
-  // Strip trailing unit letters after a recognized magnitude (e.g. "10uF").
-  if (suffix.empty()) return value;
-  if (suffix.rfind("meg", 0) == 0) return value * 1e6;
-  switch (suffix[0]) {
-    case 'f': return value * 1e-15;
-    case 'p': return value * 1e-12;
-    case 'n': return value * 1e-9;
-    case 'u': return value * 1e-6;
-    case 'm': return value * 1e-3;
-    case 'k': return value * 1e3;
-    case 'g': return value * 1e9;
-    case 't': return value * 1e12;
-    default:
-      throw std::invalid_argument("bad numeric suffix in '" + token + "'");
-  }
+  const double value = scaledValue(token);
+  if (!std::isfinite(value))
+    throw std::invalid_argument("non-finite value '" + token + "'");
+  return value;
 }
 
 Netlist parseNetlist(const std::string& deck) {
@@ -179,7 +197,7 @@ Netlist parseNetlist(const std::string& deck) {
         if (tokens.size() < 4) fail(line_no, "need <np> <nn> <value>");
         const NodeId np = netlist.node(tokens[1]);
         const NodeId nn = netlist.node(tokens[2]);
-        const double value = parseSpiceValue(tokens[3]);
+        const double value = number(tokens[3], line_no);
         try {
           if (kind == 'r') netlist.addResistor(name, np, nn, value);
           if (kind == 'c') netlist.addCapacitor(name, np, nn, value);
@@ -224,7 +242,7 @@ Netlist parseNetlist(const std::string& deck) {
           std::string key, value;
           if (!splitParam(tokens[i], key, value))
             fail(line_no, "expected key=value, got '" + tokens[i] + "'");
-          const double v = parseSpiceValue(value);
+          const double v = number(value, line_no);
           if (key == "w") params.w = v;
           else if (key == "l") params.l = v;
           else if (key == "vt") params.vt0 = v;
@@ -247,12 +265,16 @@ Netlist parseNetlist(const std::string& deck) {
           std::string key, value;
           if (!splitParam(tokens[i], key, value))
             fail(line_no, "expected key=value, got '" + tokens[i] + "'");
-          const double v = parseSpiceValue(value);
+          const double v = number(value, line_no);
           if (key == "is") params.is = v;
           else if (key == "n") params.n = v;
           else fail(line_no, "unknown diode parameter '" + key + "'");
         }
-        netlist.addDiode(name, np, nn, params);
+        try {
+          netlist.addDiode(name, np, nn, params);
+        } catch (const std::invalid_argument& e) {
+          fail(line_no, e.what());
+        }
         break;
       }
       case 'e':
@@ -263,7 +285,7 @@ Netlist parseNetlist(const std::string& deck) {
         const NodeId nn = netlist.node(tokens[2]);
         const NodeId cp = netlist.node(tokens[3]);
         const NodeId cn = netlist.node(tokens[4]);
-        const double gain = parseSpiceValue(tokens[5]);
+        const double gain = number(tokens[5], line_no);
         if (kind == 'e')
           netlist.addVcvs(name, np, nn, cp, cn, gain);
         else

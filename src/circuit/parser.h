@@ -14,10 +14,11 @@
 //
 // Supported cards: R/C/L (value), V/I (DC x | SIN(off amp freq [phase]) |
 // PULSE(v1 v2 td tr tf pw per), optional trailing "AC mag [phase]"),
-// M (d g s nmos|pmos with w=/l=/vt=/kp=/lambda= parameters), and
-// D (np nn with optional is=/n= parameters). '*' starts a comment line;
+// M (d g s nmos|pmos with w=/l=/vt=/kp=/lambda= parameters),
+// D (np nn with optional is=/n= parameters), and E / G (np nn cp cn gain:
+// voltage-controlled voltage / current source). '*' starts a comment line;
 // everything after .end is ignored. Values accept the SPICE magnitude
-// suffixes f p n u m k meg g t.
+// suffixes f p n u m k meg g t and must be finite.
 #pragma once
 
 #include <string>
@@ -27,11 +28,12 @@
 namespace mfbo::circuit {
 
 /// Parse a numeric literal with an optional SPICE suffix ("10k" → 1e4,
-/// "3.3u" → 3.3e-6, "2meg" → 2e6). Throws std::invalid_argument on junk.
+/// "3.3u" → 3.3e-6, "2meg" → 2e6). Throws std::invalid_argument on junk
+/// and on non-finite results ("inf", "nan", "1e308k").
 double parseSpiceValue(const std::string& token);
 
 /// Parse a full deck. Throws std::invalid_argument with the offending line
-/// number on any syntax error.
+/// number on any syntax error or invalid device value.
 Netlist parseNetlist(const std::string& deck);
 
 }  // namespace mfbo::circuit

@@ -14,6 +14,50 @@ namespace {
 /// and cutoff devices from making the Jacobian singular.
 constexpr double kGmin = 1e-12;
 
+std::size_t idx(NodeId n) { return static_cast<std::size_t>(n); }
+
+double nodeV(const Vector& x, NodeId n) {
+  return n == kGround ? 0.0 : x[idx(n)];
+}
+
+bool isSquare(const Matrix& m, std::size_t n) {
+  return m.rows() == n && m.cols() == n;
+}
+
+/// Conductance @p value between nodes a and b.
+void addG(Matrix& m, NodeId a, NodeId b, double value) {
+  if (a != kGround) m(idx(a), idx(a)) += value;
+  if (b != kGround) m(idx(b), idx(b)) += value;
+  if (a != kGround && b != kGround) {
+    m(idx(a), idx(b)) -= value;
+    m(idx(b), idx(a)) -= value;
+  }
+}
+
+/// m(row, col) += value; a ground column is not an unknown.
+void addEntry(Matrix& m, std::size_t row, NodeId col, double value) {
+  if (col != kGround) m(row, idx(col)) += value;
+}
+
+/// Inject current @p value INTO node a and OUT of node b.
+void addCurrent(Vector& rhs, NodeId a, NodeId b, double value) {
+  if (a != kGround) rhs[idx(a)] += value;
+  if (b != kGround) rhs[idx(b)] -= value;
+}
+
+/// Branch unknown @p br flowing np → nn: its current enters the KCL rows
+/// and its row reads v_np − v_nn.
+void addBranch(Matrix& g, std::size_t br, NodeId np, NodeId nn) {
+  if (np != kGround) {
+    g(idx(np), br) += 1.0;
+    g(br, idx(np)) += 1.0;
+  }
+  if (nn != kGround) {
+    g(idx(nn), br) -= 1.0;
+    g(br, idx(nn)) -= 1.0;
+  }
+}
+
 }  // namespace
 
 Simulator::Simulator(const Netlist& netlist, SimOptions options)
@@ -30,6 +74,101 @@ Simulator::Simulator(const Netlist& netlist, SimOptions options)
     throw std::invalid_argument("Simulator: netlist has no nodes");
 }
 
+void Simulator::stampLinear(Matrix& g, Matrix* reactive, double dt,
+                            double omega) const {
+  MFBO_DCHECK(isSquare(g, dim()), "matrix size mismatch");
+  MFBO_DCHECK(!reactive || isSquare(*reactive, dim()), "reactive mismatch");
+  const auto coefficient = [&](double value) {
+    return dt > 0.0 ? 2.0 * value / dt : omega * value;
+  };
+
+  for (std::size_t i = 0; i < n_nodes_; ++i)
+    g(i, i) += kGmin + extra_gmin_;
+
+  for (const Resistor& r : netlist_.resistors()) addG(g, r.np, r.nn, 1.0 / r.r);
+
+  // Capacitors: open in DC.
+  if (reactive)
+    for (const Capacitor& c : netlist_.capacitors())
+      addG(*reactive, c.np, c.nn, coefficient(c.c));
+
+  // Voltage sources: branch current flows np → nn *through the source*
+  // (SPICE sign: positive into the + terminal).
+  for (std::size_t k = 0; k < netlist_.vsources().size(); ++k) {
+    const VSource& s = netlist_.vsources()[k];
+    addBranch(g, vsource_offset_ + k, s.np, s.nn);
+  }
+
+  // Inductors: short in DC; transient row v_{n+1} − (2L/dt)·i_{n+1} = …,
+  // AC row v − jωL·i = 0.
+  for (std::size_t k = 0; k < netlist_.inductors().size(); ++k) {
+    const Inductor& ind = netlist_.inductors()[k];
+    const std::size_t br = inductor_offset_ + k;
+    addBranch(g, br, ind.np, ind.nn);
+    if (reactive) (*reactive)(br, br) -= coefficient(ind.l);
+  }
+
+  // VCVS row: v_np − v_nn − gain·(v_cp − v_cn) = 0.
+  for (std::size_t k = 0; k < netlist_.vcvs().size(); ++k) {
+    const Vcvs& e = netlist_.vcvs()[k];
+    const std::size_t br = vcvs_offset_ + k;
+    addBranch(g, br, e.np, e.nn);
+    addEntry(g, br, e.cp, -e.gain);
+    addEntry(g, br, e.cn, e.gain);
+  }
+
+  // VCCS: current gm·(v_cp − v_cn) leaves np and enters nn.
+  for (const Vccs& gsrc : netlist_.vccs()) {
+    if (gsrc.np != kGround) {
+      addEntry(g, idx(gsrc.np), gsrc.cp, gsrc.gm);
+      addEntry(g, idx(gsrc.np), gsrc.cn, -gsrc.gm);
+    }
+    if (gsrc.nn != kGround) {
+      addEntry(g, idx(gsrc.nn), gsrc.cp, -gsrc.gm);
+      addEntry(g, idx(gsrc.nn), gsrc.cn, gsrc.gm);
+    }
+  }
+}
+
+void Simulator::stampNonlinear(Matrix& g, Vector* rhs, const Vector& x) const {
+  MFBO_DCHECK(isSquare(g, dim()), "matrix size mismatch");
+  MFBO_DCHECK(x.size() == dim(), "state size ", x.size(), " != ", dim());
+  MFBO_DCHECK(!rhs || rhs->size() == dim(), "rhs size mismatch");
+
+  for (const Mosfet& m : netlist_.mosfets()) {
+    const MosfetSmallSignal ss =
+        mosfetSmallSignal(m, nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s));
+    // ∂i/∂(real voltages): the polarity factors cancel, so gm/gds stamp
+    // with their NMOS-normalized (positive) values against the effective
+    // terminals.
+    const NodeId d = ss.d_eff, s = ss.s_eff, gn = ss.g;
+    // VCCS gm·(v_g − v_s): current d → s.
+    if (d != kGround) {
+      addEntry(g, idx(d), gn, ss.gm);
+      addEntry(g, idx(d), s, -ss.gm);
+    }
+    if (s != kGround) {
+      addEntry(g, idx(s), gn, -ss.gm);
+      addEntry(g, idx(s), s, ss.gm);
+    }
+    addG(g, d, s, ss.gds);
+    if (rhs) {
+      // Norton current ieq flowing d → s inside the device.
+      const double vgs_real = nodeV(x, gn) - nodeV(x, s);
+      const double vds_real = nodeV(x, d) - nodeV(x, s);
+      const double ieq = ss.i_deff - ss.gm * vgs_real - ss.gds * vds_real;
+      addCurrent(*rhs, s, d, ieq);
+    }
+  }
+
+  for (const Diode& dd : netlist_.diodes()) {
+    const double v = nodeV(x, dd.np) - nodeV(x, dd.nn);
+    const DiodeState st = diodeEval(dd.params, v);
+    addG(g, dd.np, dd.nn, st.gd);
+    if (rhs) addCurrent(*rhs, dd.nn, dd.np, st.id - st.gd * v);
+  }
+}
+
 void Simulator::assemble(Matrix& g, Vector& rhs, const Vector& x, double t,
                          double dt, const Vector* prev,
                          double source_scale) const {
@@ -38,166 +177,46 @@ void Simulator::assemble(Matrix& g, Vector& rhs, const Vector& x, double t,
   const std::size_t n = dim();
   g = Matrix(n, n);
   rhs = Vector(n);
+  const bool transient = dt > 0.0;
+  stampLinear(g, transient ? &g : nullptr, dt, 0.0);
 
-  auto addG = [&](NodeId a, NodeId b, double value) {
-    if (a != kGround) g(static_cast<std::size_t>(a),
-                        static_cast<std::size_t>(a)) += value;
-    if (b != kGround) g(static_cast<std::size_t>(b),
-                        static_cast<std::size_t>(b)) += value;
-    if (a != kGround && b != kGround) {
-      g(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) -= value;
-      g(static_cast<std::size_t>(b), static_cast<std::size_t>(a)) -= value;
-    }
-  };
-  // Inject current @p value INTO node a and OUT of node b.
-  auto addCurrent = [&](NodeId a, NodeId b, double value) {
-    if (a != kGround) rhs[static_cast<std::size_t>(a)] += value;
-    if (b != kGround) rhs[static_cast<std::size_t>(b)] -= value;
-  };
-  auto entry = [&](std::size_t row, NodeId col, double value) {
-    if (col != kGround) g(row, static_cast<std::size_t>(col)) += value;
-  };
-
-  for (std::size_t i = 0; i < n_nodes_; ++i)
-    g(i, i) += kGmin + extra_gmin_;
-
-  for (const Resistor& r : netlist_.resistors()) addG(r.np, r.nn, 1.0 / r.r);
-
-  // Capacitors: open in DC, trapezoidal companion in transient.
-  if (dt > 0.0) {
+  if (transient) {
+    // i_{n+1} = geq·(v_{n+1} − v_n) − i_n  ⇒ Norton J = geq·v_n + i_n.
     const auto& caps = netlist_.capacitors();
     for (std::size_t i = 0; i < caps.size(); ++i) {
       const Capacitor& c = caps[i];
       const double geq = 2.0 * c.c / dt;
-      const double v_prev = prev ? nodeV(*prev, c.np) - nodeV(*prev, c.nn)
-                                 : 0.0;
-      addG(c.np, c.nn, geq);
-      // i_{n+1} = geq·(v_{n+1} − v_n) − i_n  ⇒ Norton J = geq·v_n + i_n.
-      addCurrent(c.np, c.nn, geq * v_prev + cap_current_[i]);
+      const double v_prev =
+          prev ? nodeV(*prev, c.np) - nodeV(*prev, c.nn) : 0.0;
+      addCurrent(rhs, c.np, c.nn, geq * v_prev + cap_current_[i]);
     }
   }
 
   // Independent current sources (current flows np → nn through the source).
-  for (const ISource& s : netlist_.isources()) {
-    const double value = source_scale * s.waveform.at(t);
-    addCurrent(s.nn, s.np, value);
+  for (const ISource& s : netlist_.isources())
+    addCurrent(rhs, s.nn, s.np, source_scale * s.waveform.at(t));
+
+  for (std::size_t k = 0; k < netlist_.vsources().size(); ++k) {
+    const Waveform& w = netlist_.vsources()[k].waveform;
+    rhs[vsource_offset_ + k] =
+        source_scale * (transient ? w.at(t) : w.dcValue());
   }
 
-  // Voltage sources: branch current unknowns.
-  {
-    const auto& srcs = netlist_.vsources();
-    for (std::size_t k = 0; k < srcs.size(); ++k) {
-      const VSource& s = srcs[k];
-      const std::size_t br = vsource_offset_ + k;
-      // Branch current flows np → nn *through the source* (SPICE sign:
-      // positive into the + terminal).
-      if (s.np != kGround) {
-        g(static_cast<std::size_t>(s.np), br) += 1.0;
-        g(br, static_cast<std::size_t>(s.np)) += 1.0;
-      }
-      if (s.nn != kGround) {
-        g(static_cast<std::size_t>(s.nn), br) -= 1.0;
-        g(br, static_cast<std::size_t>(s.nn)) -= 1.0;
-      }
-      rhs[br] = source_scale *
-                (dt > 0.0 ? s.waveform.at(t) : s.waveform.dcValue());
-    }
-  }
-
-  // Inductors: short in DC, trapezoidal companion in transient.
-  {
-    const auto& inds = netlist_.inductors();
-    for (std::size_t k = 0; k < inds.size(); ++k) {
-      const Inductor& ind = inds[k];
+  // Inductor rows: DC rhs stays 0; transient
+  // v_{n+1} − (2L/dt)·i_{n+1} = −v_n − (2L/dt)·i_n.
+  if (transient) {
+    for (std::size_t k = 0; k < netlist_.inductors().size(); ++k) {
+      const Inductor& ind = netlist_.inductors()[k];
       const std::size_t br = inductor_offset_ + k;
-      if (ind.np != kGround) {
-        g(static_cast<std::size_t>(ind.np), br) += 1.0;
-        g(br, static_cast<std::size_t>(ind.np)) += 1.0;
-      }
-      if (ind.nn != kGround) {
-        g(static_cast<std::size_t>(ind.nn), br) -= 1.0;
-        g(br, static_cast<std::size_t>(ind.nn)) -= 1.0;
-      }
-      if (dt > 0.0) {
-        // v_{n+1} − (2L/dt)·i_{n+1} = −v_n − (2L/dt)·i_n
-        const double zeq = 2.0 * ind.l / dt;
-        g(br, br) -= zeq;
-        const double v_prev =
-            prev ? nodeV(*prev, ind.np) - nodeV(*prev, ind.nn) : 0.0;
-        const double i_prev = prev ? (*prev)[br] : 0.0;
-        rhs[br] = -v_prev - zeq * i_prev;
-      }
-      // DC: row is v_np − v_nn = 0 (already stamped), rhs stays 0.
+      const double zeq = 2.0 * ind.l / dt;
+      const double v_prev =
+          prev ? nodeV(*prev, ind.np) - nodeV(*prev, ind.nn) : 0.0;
+      const double i_prev = prev ? (*prev)[br] : 0.0;
+      rhs[br] = -v_prev - zeq * i_prev;
     }
   }
 
-  // Voltage-controlled sources (linear, mode-independent).
-  {
-    const auto& es = netlist_.vcvs();
-    for (std::size_t k = 0; k < es.size(); ++k) {
-      const Vcvs& e = es[k];
-      const std::size_t br = vcvs_offset_ + k;
-      if (e.np != kGround) {
-        g(static_cast<std::size_t>(e.np), br) += 1.0;
-        g(br, static_cast<std::size_t>(e.np)) += 1.0;
-      }
-      if (e.nn != kGround) {
-        g(static_cast<std::size_t>(e.nn), br) -= 1.0;
-        g(br, static_cast<std::size_t>(e.nn)) -= 1.0;
-      }
-      // Row: v_np − v_nn − gain·(v_cp − v_cn) = 0.
-      entry(br, e.cp, -e.gain);
-      entry(br, e.cn, e.gain);
-    }
-  }
-  for (const Vccs& gsrc : netlist_.vccs()) {
-    // Current gm·(v_cp − v_cn) leaves np and enters nn.
-    if (gsrc.np != kGround) {
-      entry(static_cast<std::size_t>(gsrc.np), gsrc.cp, gsrc.gm);
-      entry(static_cast<std::size_t>(gsrc.np), gsrc.cn, -gsrc.gm);
-    }
-    if (gsrc.nn != kGround) {
-      entry(static_cast<std::size_t>(gsrc.nn), gsrc.cp, -gsrc.gm);
-      entry(static_cast<std::size_t>(gsrc.nn), gsrc.cn, gsrc.gm);
-    }
-  }
-
-  // MOSFETs: Newton linearization around the current guess.
-  for (const Mosfet& m : netlist_.mosfets()) {
-    const MosfetSmallSignal ss =
-        mosfetSmallSignal(m, nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s));
-    // ∂i/∂(real voltages): the polarity factors cancel, so gm/gds stamp
-    // with their NMOS-normalized (positive) values against the effective
-    // terminals.
-    const double vgs_real = nodeV(x, ss.g) - nodeV(x, ss.s_eff);
-    const double vds_real = nodeV(x, ss.d_eff) - nodeV(x, ss.s_eff);
-    const double ieq =
-        ss.i_deff - ss.gm * vgs_real - ss.gds * vds_real;
-
-    const NodeId d = ss.d_eff, s = ss.s_eff, gn = ss.g;
-    // VCCS gm·(v_g − v_s): current d → s.
-    if (d != kGround) {
-      entry(static_cast<std::size_t>(d), gn, ss.gm);
-      entry(static_cast<std::size_t>(d), s, -ss.gm);
-    }
-    if (s != kGround) {
-      entry(static_cast<std::size_t>(s), gn, -ss.gm);
-      entry(static_cast<std::size_t>(s), s, ss.gm);
-    }
-    // gds between d and s.
-    addG(d, s, ss.gds);
-    // Norton current ieq flowing d → s inside the device.
-    addCurrent(s, d, ieq);
-  }
-
-  // Diodes.
-  for (const Diode& dd : netlist_.diodes()) {
-    const double v = nodeV(x, dd.np) - nodeV(x, dd.nn);
-    const DiodeState st = diodeEval(dd.params, v);
-    const double ieq = st.id - st.gd * v;
-    addG(dd.np, dd.nn, st.gd);
-    addCurrent(dd.nn, dd.np, ieq);
-  }
+  stampNonlinear(g, &rhs, x);
 }
 
 bool Simulator::newtonSolve(Vector& x, double t, double dt, const Vector* prev,

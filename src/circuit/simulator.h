@@ -1,12 +1,14 @@
 // mfbo::circuit — modified-nodal-analysis simulation engine.
 //
 // Unknowns: the voltages of all non-ground nodes followed by the branch
-// currents of voltage sources and inductors. Nonlinear devices (MOSFET,
-// diode) are handled by Newton iteration with per-step voltage-update
-// damping; DC analysis falls back to source stepping when plain Newton
-// fails. Transient analysis uses fixed-step trapezoidal integration
-// (companion models) — adequate for the periodic steady-state measurements
-// the testbenches make, and exactly reproducible.
+// currents of voltage sources, inductors and VCVS. Nonlinear devices
+// (MOSFET, diode) are handled by Newton iteration with per-step
+// voltage-update damping; DC analysis tries plain Newton, then gmin
+// stepping, then source stepping. Transient analysis uses fixed-step
+// trapezoidal integration (companion models) — adequate for the periodic
+// steady-state measurements the testbenches make, and exactly reproducible.
+// The Simulator is the only code that knows how a device stamps into the
+// MNA system; the AC analysis (circuit/ac.h) reuses its stamps.
 #pragma once
 
 #include <vector>
@@ -28,7 +30,7 @@ struct DcResult {
 
 struct TransientResult {
   std::vector<double> time;
-  /// node_voltages[k] is the full solution vector at time[k]
+  /// solution[k] is the full solution vector at time[k]
   /// (node voltages then branch currents).
   std::vector<Vector> solution;
   bool converged = false;
@@ -39,6 +41,8 @@ struct TransientResult {
                            : solution[k][static_cast<std::size_t>(node)];
   }
 };
+
+struct AcResult;
 
 struct SimOptions {
   std::size_t max_newton_iterations = 100;
@@ -76,12 +80,6 @@ class Simulator {
   std::size_t vsourceBranch(std::size_t i) const {
     return vsource_offset_ + i;
   }
-  /// Index of inductor @p i's branch unknown in a solution vector.
-  std::size_t inductorBranch(std::size_t i) const {
-    return inductor_offset_ + i;
-  }
-  /// Index of VCVS @p i's branch unknown in a solution vector.
-  std::size_t vcvsBranch(std::size_t i) const { return vcvs_offset_ + i; }
 
   /// Branch current of voltage source @p vsrc_index in a solution vector.
   double vsourceCurrent(const Vector& solution,
@@ -90,6 +88,10 @@ class Simulator {
   double inductorCurrent(const Vector& solution, std::size_t ind_index) const;
   /// Drain current of MOSFET @p mos_index recomputed from node voltages.
   double mosfetCurrent(const Vector& solution, std::size_t mos_index) const;
+
+  /// Builds the small-signal system from stampLinear and stampNonlinear.
+  friend AcResult acAnalysis(Simulator& sim, double f_start, double f_stop,
+                             std::size_t points_per_decade);
 
  private:
   /// Newton solve at time @p t. In transient mode (@p dt > 0) the companion
@@ -101,12 +103,21 @@ class Simulator {
 
   /// Additional node-to-ground conductance applied during gmin stepping.
   double extra_gmin_ = 0.0;
-  /// Assemble the linearized MNA system at guess @p x.
+  /// Assemble the linearized MNA system at guess @p x: stampLinear, then
+  /// the right-hand side (companion history and source values), then
+  /// stampNonlinear.
   void assemble(Matrix& g, Vector& rhs, const Vector& x, double t, double dt,
                 const Vector* prev, double source_scale) const;
-  double nodeV(const Vector& x, NodeId n) const {
-    return n == kGround ? 0.0 : x[static_cast<std::size_t>(n)];
-  }
+  /// Add every stamp that does not depend on the state into @p g: gmin
+  /// (with the gmin-stepping term), resistors, the branch rows of V, L and
+  /// E sources and the E gains, and VCCS. Capacitors and inductors stamp
+  /// coefficient·value into @p reactive: 2·value/@p dt in transient
+  /// (@p dt > 0, @p reactive is @p g), ω·value in AC (@p reactive is the
+  /// susceptance matrix), nothing at DC (@p reactive null).
+  void stampLinear(Matrix& g, Matrix* reactive, double dt, double omega) const;
+  /// Add the MOSFET gm/gds and diode gd stamps linearized at @p x into
+  /// @p g; with @p rhs, also add their Newton Norton currents.
+  void stampNonlinear(Matrix& g, Vector* rhs, const Vector& x) const;
 
   const Netlist& netlist_;
   SimOptions options_;

@@ -1,16 +1,24 @@
 // Tests for the MNA circuit simulator, checked against closed-form circuit
 // theory: dividers, diode drops, MOSFET operating regions, RC/RL dynamics,
-// sinusoidal steady state, spectral analysis, and PVT corner behaviour.
+// sinusoidal steady state, spectral analysis, and PVT corner behaviour;
+// then DC, transient, AC and testbench results pinned bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <numbers>
 
+#include "circuit/ac.h"
 #include "circuit/fft.h"
 #include "circuit/measure.h"
 #include "circuit/netlist.h"
+#include "circuit/parser.h"
 #include "circuit/pvt.h"
 #include "circuit/simulator.h"
+#include "problems/charge_pump.h"
+#include "problems/opamp.h"
+#include "problems/power_amplifier.h"
 
 namespace {
 
@@ -127,6 +135,32 @@ TEST(NetlistTest, RejectsBadComponents) {
   EXPECT_THROW(n.addCapacitor("c", a, kGround, -1e-12),
                std::invalid_argument);
   EXPECT_THROW(n.addResistor("r", 42, kGround, 1e3), std::invalid_argument);
+}
+
+TEST(NetlistTest, RejectsNonFiniteValuesAndBadDiodes) {
+  Netlist n;
+  const NodeId a = n.node("a");
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(n.addResistor("r", a, kGround, inf), std::invalid_argument);
+  EXPECT_THROW(n.addCapacitor("c", a, kGround, inf), std::invalid_argument);
+  EXPECT_THROW(n.addInductor("l", a, kGround, nan), std::invalid_argument);
+  EXPECT_THROW(n.addVcvs("e", a, kGround, a, kGround, nan),
+               std::invalid_argument);
+  EXPECT_THROW(n.addVccs("g", a, kGround, a, kGround, inf),
+               std::invalid_argument);
+  MosfetParams wide;
+  wide.w = inf;
+  EXPECT_THROW(n.addMosfet("m", a, a, kGround, wide), std::invalid_argument);
+  DiodeParams leaky;
+  leaky.is = -1.0;
+  EXPECT_THROW(n.addDiode("d", a, kGround, leaky), std::invalid_argument);
+  DiodeParams ideal;
+  ideal.n = 0.0;
+  EXPECT_THROW(n.addDiode("d", a, kGround, ideal), std::invalid_argument);
+  EXPECT_TRUE(n.resistors().empty());
+  EXPECT_TRUE(n.mosfets().empty());
+  EXPECT_TRUE(n.diodes().empty());
 }
 
 TEST(NetlistTest, NamedLookups) {
@@ -569,6 +603,216 @@ TEST(PvtTest, CornerCurrentsSpreadAroundNominal) {
   }
   EXPECT_LT(lo, 0.95 * nominal_id);
   EXPECT_GT(hi, 1.05 * nominal_id);
+}
+
+// ---------------------------------------------------------- Golden bits --
+//
+// The simulator's results pinned bit for bit as hex-float literals. DC,
+// transient and AC analysis share one set of device stamps, so a change to
+// any stamp's terms, or to the order in which they reach the matrix and
+// the right-hand side, moves a bit here. Only a change meant to alter the
+// numerics may rewrite these values, and it must say so.
+
+/// Every device kind: R, C, L, V (DC, SIN and PULSE; two carry an AC
+/// stimulus), I with an AC stimulus, nmos, pmos, diode, E and G.
+constexpr const char* kEveryDeviceDeck = R"(
+Vdd vdd 0 DC 1.8
+Vin in 0 SIN(0.9 0.05 10meg) AC 1.0
+Vclk clk 0 PULSE(0 1.8 2n 1n 1n 23n 50n) AC 0.5 0.3
+Ib vdd bias 10u AC 1u 0.5
+R1 vdd d1 10k
+R2 bias 0 50k
+Rclk clk sw 1k
+Csw sw 0 2p
+C1 d1 0 1p
+L1 d1 d2 1u
+R3 d2 0 20k
+M1 d1 in 0 nmos w=10u l=0.5u vt=0.45 kp=2e-4 lambda=0.05
+M2 out bias vdd pmos w=20u l=0.5u vt=0.45 kp=1e-4 lambda=0.05
+R4 out 0 20k
+D1 out x is=1e-14 n=1.2
+R5 x 0 5k
+E1 e 0 d1 d2 2
+R6 e sw 1k
+G1 g 0 in d2 1m
+R7 g 0 1k
+C2 g e 0.5p
+.end
+)";
+
+struct DcTran {
+  double dc, tran_final;
+};
+/// Per unknown (nodes vdd in clk bias d1 sw d2 out x e g, then the branch
+/// currents of Vdd, Vin, Vclk, L1 and E1): the DC operating point, and the
+/// state at the end of a 110 ns transient in 0.5 ns steps.
+constexpr DcTran kDeckDcTran[] = {
+    {0x1.ccccccccccccdp+0, 0x1.ccccccccccccdp+0},
+    {0x1.ccccccccccccdp-1, 0x1.dbd8e8d05de1fp-1},
+    {0x0p+0, 0x1.ccccccccccccdp+0},
+    {0x1.fffffe5280d74p-2, 0x1.fffffe5280ddcp-2},
+    {0x1.a4a1186f728a2p-4, 0x1.889a638bf5c78p-4},
+    {0x0p+0, 0x1.cc8d826f0c1fdp-1},
+    {0x1.a4a1186f728a2p-4, 0x1.88b9b6c41121fp-4},
+    {0x1.b693f1c9f0b23p+0, 0x1.b693ed85b2ceep+0},
+    {0x1.f4cb52bba4c21p-1, 0x1.f4cbd7fa1e678p-1},
+    {0x0p+0, -0x1.f53381b5a78p-15},
+    {-0x1.9838a9b8052f7p-1, -0x1.a9ef06d0ab1ffp-1},
+    {-0x1.e3684be14246dp-12, -0x1.e4202dbd72d5fp-12},
+    {-0x1.faa7ab552a552p-41, -0x1.05998ddf4f6b8p-40},
+    {0x0p+0, -0x1.d81cc3d0e92edp-11},
+    {0x1.58945aeb97678p-18, 0x1.41b87f34b5daep-18},
+    {0x0p+0, 0x1.d6cb70c191411p-11},
+};
+
+struct Phasor {
+  double re, im;
+};
+/// Per unknown, the AC phasors at 10 MHz, 100 MHz and 1 GHz.
+constexpr Phasor kDeckAc[] = {
+    // 10 MHz
+    {0x0p+0, 0x0p+0},
+    {0x1p+0, 0x0p+0},
+    {0x1.e921dd42f09bap-2, 0x1.2e9cd95baba33p-3},
+    {0x1.677532570a183p-5, 0x1.88bed153e477ap-6},
+    {-0x1.0f8708753ff01p-2, 0x1.5e4f3c68978fep-7},
+    {0x1.f07f6ad01a06ap-3, 0x1.d99e5c5bce80bp-5},
+    {-0x1.0f7d8af811f1fp-2, 0x1.799a4b1426ebdp-7},
+    {-0x1.2db39b6d11b35p-8, -0x1.49a4024b618c4p-9},
+    {-0x1.246dc42e9fdf7p-8, -0x1.3f8256b43795bp-9},
+    {-0x1.2fafa5bfc3347p-14, -0x1.b4b0eab8f5bf5p-10},
+    {-0x1.43728323ec7bp+0, 0x1.a38bf7ac90648p-5},
+    {-0x1.b8c286d4fce9bp-16, 0x1.42e7a6cba950fp-20},
+    {-0x1.19799812dea11p-40, 0x0p+0},
+    {-0x1.ed54497f2bd4fp-13, -0x1.794210f97012dp-14},
+    {-0x1.bccf548011af2p-17, 0x1.3555076ee1e45p-21},
+    {0x1.f914e167ebac7p-13, 0x1.4c051c2f9e16fp-16},
+    // 100 MHz
+    {0x0p+0, 0x0p+0},
+    {0x1p+0, 0x0p+0},
+    {0x1.e921dd42f09bap-2, 0x1.2e9cd95baba33p-3},
+    {0x1.677532570a166p-5, 0x1.88bed153e4777p-6},
+    {-0x1.d3e5254cad68ep-3, 0x1.794b974c56dedp-4},
+    {0x1.97bd5f00ea6e5p-3, -0x1.dd88225cff834p-5},
+    {-0x1.cd8358365a01ap-3, 0x1.964b01fc114dp-4},
+    {-0x1.2db39b6d11b2p-8, -0x1.49a4024b618bdp-9},
+    {-0x1.246dc42e9fde4p-8, -0x1.3f8256b437952p-9},
+    {-0x1.98734594d9dp-8, -0x1.cff6aafba6e2fp-7},
+    {-0x1.155b398b6d19cp+0, 0x1.c01ac305d7adcp-2},
+    {-0x1.7b305d5df0a73p-16, 0x1.39925b73af445p-17},
+    {-0x1.19799812dea11p-40, 0x0p+0},
+    {-0x1.241bd4c75c5d5p-12, -0x1.b01f9fb644d72p-13},
+    {-0x1.7a124e7e541bfp-17, 0x1.4cd5d1bab1711p-18},
+    {0x1.09ea590647288p-14, -0x1.912011ed6cf41p-12},
+    // 1 GHz
+    {0x0p+0, 0x0p+0},
+    {0x1p+0, 0x0p+0},
+    {0x1.e921dd42f09bap-2, 0x1.2e9cd95baba33p-3},
+    {0x1.677532570a177p-5, 0x1.88bed153e477dp-6},
+    {-0x1.f6e28f27dd806p-7, 0x1.fc740d10d17b6p-5},
+    {0x1.17d68fa630fe3p-6, -0x1.082fa45311907p-5},
+    {0x1.ef565efa45a9ap-9, 0x1.f2ba36b61257cp-5},
+    {-0x1.2db39b6d11b2cp-8, -0x1.49a4024b618c3p-9},
+    {-0x1.246dc42e9fdefp-8, -0x1.3f8256b437958p-9},
+    {-0x1.395c137337756p-5, 0x1.373acb57e4748p-9},
+    {-0x1.c06914b9102ecp-4, 0x1.237733901fa93p-2},
+    {-0x1.5a3107bb04ab9p-20, 0x1.a981fef7de1dcp-18},
+    {-0x1.19799812dea11p-40, 0x0p+0},
+    {-0x1.e2f639aac2ebep-12, -0x1.7981cd45228ccp-13},
+    {0x1.95c7c7fd1dbfdp-23, 0x1.988eb7ccbb5ap-19},
+    {-0x1.b3e67825186cdp-11, -0x1.0eedea5d8efa4p-12},
+};
+
+TEST(GoldenBits, EveryDeviceDeckDcSolution) {
+  const Netlist net = parseNetlist(kEveryDeviceDeck);
+  Simulator sim(net);
+  const DcResult dc = sim.dcOperatingPoint();
+  ASSERT_TRUE(dc.converged);
+  ASSERT_EQ(dc.solution.size(), std::size(kDeckDcTran));
+  for (std::size_t i = 0; i < dc.solution.size(); ++i)
+    EXPECT_EQ(dc.solution[i], kDeckDcTran[i].dc) << "unknown " << i;
+}
+
+TEST(GoldenBits, EveryDeviceDeckTransientFinalState) {
+  const Netlist net = parseNetlist(kEveryDeviceDeck);
+  Simulator sim(net);
+  const TransientResult tr = sim.transient(110e-9, 0.5e-9);
+  ASSERT_TRUE(tr.converged);
+  ASSERT_EQ(tr.solution.size(), 221u);
+  const Vector& last = tr.solution.back();
+  ASSERT_EQ(last.size(), std::size(kDeckDcTran));
+  for (std::size_t i = 0; i < last.size(); ++i)
+    EXPECT_EQ(last[i], kDeckDcTran[i].tran_final) << "unknown " << i;
+}
+
+TEST(GoldenBits, EveryDeviceDeckAcPhasors) {
+  const Netlist net = parseNetlist(kEveryDeviceDeck);
+  Simulator sim(net);
+  const AcResult ac = acAnalysis(sim, 1e7, 1e9, 1);
+  ASSERT_TRUE(ac.converged);
+  ASSERT_EQ(ac.freq.size(), 3u);
+  const std::size_t n = sim.dim();
+  ASSERT_EQ(3 * n, std::size(kDeckAc));
+  for (std::size_t k = 0; k < ac.freq.size(); ++k)
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(ac.solution[k][i].real(), kDeckAc[k * n + i].re)
+          << "point " << k << ", unknown " << i;
+      EXPECT_EQ(ac.solution[k][i].imag(), kDeckAc[k * n + i].im)
+          << "point " << k << ", unknown " << i;
+    }
+}
+
+TEST(GoldenBits, PowerAmplifierBothFidelities) {
+  const mfbo::problems::PowerAmplifierProblem pa;
+  const mfbo::bo::Vector x{6e-12, 2.3e-12, 4e-3, 2.0, 0.7};
+  const auto lo = pa.simulate(x, mfbo::bo::Fidelity::kLow);
+  const auto hi = pa.simulate(x, mfbo::bo::Fidelity::kHigh);
+  ASSERT_TRUE(lo.valid);
+  ASSERT_TRUE(hi.valid);
+  EXPECT_EQ(lo.eff, 0x1.83e6abd302409p+6);
+  EXPECT_EQ(lo.pout_dbm, 0x1.74e3a0ad78baap+4);
+  EXPECT_EQ(lo.thd_db, 0x1.e5ccdc7d56cep+0);
+  EXPECT_EQ(hi.eff, 0x1.79244c157616ap+6);
+  EXPECT_EQ(hi.pout_dbm, 0x1.757982fa10545p+4);
+  EXPECT_EQ(hi.thd_db, 0x1.1f67c2baa804p+1);
+}
+
+TEST(GoldenBits, ChargePumpBothFidelities) {
+  const mfbo::problems::ChargePumpProblem cp;
+  const mfbo::bo::Vector x = cp.referenceDesign();
+  const auto lo = cp.simulate(x, mfbo::bo::Fidelity::kLow);
+  const auto hi = cp.simulate(x, mfbo::bo::Fidelity::kHigh);
+  ASSERT_TRUE(lo.valid);
+  ASSERT_TRUE(hi.valid);
+  EXPECT_EQ(lo.max_diff1, 0x1.bee639195fp-3);
+  EXPECT_EQ(lo.max_diff2, 0x1.a29202d94dp-1);
+  EXPECT_EQ(lo.max_diff3, 0x1.727b02b6978p-6);
+  EXPECT_EQ(lo.max_diff4, 0x1.67bd795e2b7p-3);
+  EXPECT_EQ(lo.deviation, 0x1.12200319b8dcp+0);
+  EXPECT_EQ(lo.fom, 0x1.cfaad890ca29ap-1);
+  EXPECT_EQ(hi.max_diff1, 0x1.9fdf6a29acccp-1);
+  EXPECT_EQ(hi.max_diff2, 0x1.5c72abd4ce9bp+2);
+  EXPECT_EQ(hi.max_diff3, 0x1.fd54fb76c888p-2);
+  EXPECT_EQ(hi.max_diff4, 0x1.f00ea24c50afp+1);
+  EXPECT_EQ(hi.deviation, 0x1.99074caefff1p+1);
+  EXPECT_EQ(hi.fom, 0x1.3258648fa11cp+2);
+}
+
+TEST(GoldenBits, OpampBothFidelities) {
+  const mfbo::problems::OpampProblem op;
+  const mfbo::bo::Vector x = op.referenceDesign();
+  const auto lo = op.simulate(x, mfbo::bo::Fidelity::kLow);
+  const auto hi = op.simulate(x, mfbo::bo::Fidelity::kHigh);
+  ASSERT_TRUE(lo.valid);
+  ASSERT_TRUE(hi.valid);
+  EXPECT_EQ(lo.gain_db, 0x1.c3d483763e63bp+5);
+  EXPECT_EQ(lo.ugf_hz, 0x1.4d29517d9736p+26);
+  EXPECT_EQ(lo.pm_deg, 0x1.03ff138e5660ep+6);
+  EXPECT_EQ(lo.power_mw, 0x1.1afb6332af1d8p-2);
+  EXPECT_EQ(hi.gain_db, 0x1.c3c1cd1402ef2p+5);
+  EXPECT_EQ(hi.ugf_hz, 0x1.dbb7197043b8p+25);
+  EXPECT_EQ(hi.pm_deg, 0x1.08d74a5ce0475p+6);
+  EXPECT_EQ(hi.power_mw, 0x1.1afb6332af1d8p-2);
 }
 
 }  // namespace

@@ -304,6 +304,59 @@ TEST(BenchDeterminism, TimelineRecordingLeavesArtifactBytesUntouched) {
       << "recording a timeline perturbed the deterministic artifact";
 }
 
+/// runRepeats with a JSONL trace file installed, as a bench's --trace
+/// does: returns the bytes the file received.
+std::string repeatTraceBytes(const std::string& path) {
+  bench::BenchConfig cfg;
+  cfg.seed = 42;
+  cfg.timing = false;
+  {
+    telemetry::TraceWriter writer(path);
+    const telemetry::ScopedTraceSink scope(&writer);
+    bench::AlgoStats stats{"mfbo"};
+    const auto fresh = [] { return problems::ConstrainedQuadraticProblem(2); };
+    bench::runRepeats(stats, bo::MfboSynthesizer(smallMfboOptions()), fresh,
+                      /*runs=*/3, cfg);
+  }
+  const std::string bytes = readFile(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+TEST(BenchDeterminism, TraceBytesMatchAcrossThreadCounts) {
+  const std::string serial = withThreads(
+      1, [] { return repeatTraceBytes("det_trace_t1.jsonl"); });
+  const std::string pooled = withThreads(
+      4, [] { return repeatTraceBytes("det_trace_t4.jsonl"); });
+  EXPECT_EQ(serial, pooled) << "--trace bytes diverged across thread counts";
+
+  // Each run's events sit between its own run_start and run_end, in
+  // repeat order.
+  std::istringstream lines(pooled);
+  std::string line;
+  std::vector<double> seeds;
+  std::vector<std::size_t> iterations;
+  bool open = false;
+  while (std::getline(lines, line)) {
+    const Json event = Json::parse(line);
+    const std::string& type = event.at("type").asString();
+    if (type == "run_start") {
+      ASSERT_FALSE(open) << "run_start inside an open run: " << line;
+      open = true;
+      seeds.push_back(event.at("seed").asNumber());
+      iterations.push_back(0);
+      continue;
+    }
+    ASSERT_TRUE(open) << "event outside a run: " << line;
+    if (type == "iteration") ++iterations.back();
+    if (type == "run_end") open = false;
+  }
+  EXPECT_FALSE(open) << "last run has no run_end";
+  EXPECT_EQ(seeds, (std::vector<double>{42.0, 43.0, 44.0}));
+  for (std::size_t r = 0; r < iterations.size(); ++r)
+    EXPECT_GT(iterations[r], 0u) << "run " << r;
+}
+
 TEST(BenchDeterminism, RunRepeatsMatchesSequentialAddLoop) {
   // runRepeats at N threads must agree with the plain serial repeat loop it
   // replaced — including the order-sensitive median tracking.

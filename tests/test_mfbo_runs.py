@@ -1,9 +1,10 @@
-"""Tests for the run-history registry and the trace-event validator.
+"""Tests for the run-history registry and the trace tools.
 
 Exercises tools/mfbo_runs.py (artifact summarization, JSONL upsert
-semantics keyed by bench/mode/seed/git-sha, Markdown report rendering)
-and tools/trace_validate.py (accepting a well-formed trace, rejecting
-each class of schema violation the bench `--timeline` contract pins).
+semantics keyed by bench/mode/seed/git-sha, Markdown report rendering),
+tools/trace_validate.py (accepting a well-formed trace, rejecting each
+class of schema violation the bench `--timeline` contract pins) and
+tools/run_report.py's grouping of a `--trace` JSONL stream into runs.
 Everything runs in-process against synthetic artifacts — no bench
 binaries needed.
 """
@@ -20,6 +21,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import mfbo_runs  # noqa: E402
+import run_report  # noqa: E402
 import trace_validate  # noqa: E402
 
 
@@ -245,6 +247,61 @@ class TraceValidate(unittest.TestCase):
             with contextlib.redirect_stderr(io.StringIO()):
                 code = trace_validate.main([str(Path(tmp) / "missing.json")])
             self.assertEqual(code, 2)
+
+
+class RunReportTrace(unittest.TestCase):
+    @staticmethod
+    def start(seed):
+        return {"type": "run_start", "algo": "mfbo", "seed": seed}
+
+    @staticmethod
+    def iteration(n):
+        return {"type": "iteration", "iter": n, "cost": float(n),
+                "best_objective": 1.0 / n}
+
+    @staticmethod
+    def end():
+        return {"type": "run_end", "best_objective": 0.5}
+
+    def report(self, events) -> tuple[int, str]:
+        """run_report.py --trace over @p events: exit code and stderr."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            path.write_text("".join(json.dumps(e) + "\n" for e in events))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = run_report.main(["--trace", str(path)])
+                except SystemExit as exit_:
+                    code = exit_.code
+            return code, err.getvalue()
+
+    def test_contiguous_runs_and_a_crashed_final_run_are_grouped(self):
+        events = [self.start(1000), self.iteration(1), self.iteration(2),
+                  self.end(), self.start(1001), self.iteration(1)]
+        runs = run_report.group_runs(
+            [(f"t:{i + 1}", e) for i, e in enumerate(events)])
+        self.assertEqual([r["start"]["seed"] for r in runs], [1000, 1001])
+        self.assertEqual([len(r["iterations"]) for r in runs], [2, 1])
+        self.assertIsNone(runs[1]["end"])
+        self.assertEqual(self.report(events), (0, ""))
+
+    def test_interleaved_runs_exit_2_naming_the_line(self):
+        # Two runs writing one sink at once: the second run_start lands
+        # inside the first run.
+        code, err = self.report([self.start(1000), self.start(1001),
+                                 self.iteration(1), self.end(),
+                                 self.iteration(1), self.end()])
+        self.assertEqual(code, 2)
+        self.assertIn("trace.jsonl:2: run_start inside the run from", err)
+        self.assertIn("trace.jsonl:1", err)
+
+    def test_event_outside_any_run_exits_2_naming_the_line(self):
+        code, err = self.report([self.start(1000), self.iteration(1),
+                                 self.end(), self.iteration(2)])
+        self.assertEqual(code, 2)
+        self.assertIn("trace.jsonl:4: iteration event outside any run", err)
 
 
 if __name__ == "__main__":

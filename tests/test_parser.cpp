@@ -37,6 +37,13 @@ TEST(SpiceValue, RejectsJunk) {
   EXPECT_THROW(parseSpiceValue("1x"), std::invalid_argument);
 }
 
+TEST(SpiceValue, RejectsNonFinite) {
+  // strtod spells these as numbers, and a suffix can overflow a finite
+  // mantissa; none of them is a device value.
+  for (const char* token : {"inf", "-inf", "nan", "infinity", "1e308k"})
+    EXPECT_THROW(parseSpiceValue(token), std::invalid_argument) << token;
+}
+
 // --------------------------------------------------------------- parsing ---
 
 TEST(NetlistParser, ParsesPassiveCardsAndComments) {
@@ -102,6 +109,24 @@ TEST(NetlistParser, ErrorsCarryLineNumbers) {
                std::invalid_argument);
   EXPECT_THROW(parseNetlist("V1 a 0 SIN(1 2)\n"), std::invalid_argument);
   EXPECT_THROW(parseNetlist("R1 a 0 0\n"), std::invalid_argument);
+}
+
+TEST(NetlistParser, RejectsInvalidValuesWithLineNumbers) {
+  // Each card carries an invalid device value. It must be a netlist error
+  // that names its line, not a deck that "converges" on a non-finite value
+  // or fails inside the DC solve's LU factorisation.
+  for (const char* card :
+       {"C1 b 0 inf", "R1 a b inf", "D1 b 0 is=-1", "D1 b 0 n=0",
+        "M1 b a 0 nmos w=inf", "E1 b 0 a 0 nan"}) {
+    const std::string deck = std::string("V1 a 0 DC 1\nR0 a b 1k\n") + card;
+    try {
+      parseNetlist(deck);
+      ADD_FAILURE() << "accepted '" << card << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << card << ": " << e.what();
+    }
+  }
 }
 
 TEST(NetlistParser, ParsedDeckSimulatesLikeBuiltDeck) {

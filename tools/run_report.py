@@ -39,7 +39,8 @@ import sys
 from pathlib import Path
 
 
-def load_trace(path: Path) -> list[dict]:
+def load_trace(path: Path) -> list[tuple[str, dict]]:
+    """The trace's events, each with its `path:line` location."""
     events = []
     with path.open(encoding="utf-8") as stream:
         for number, line in enumerate(stream, start=1):
@@ -47,23 +48,37 @@ def load_trace(path: Path) -> list[dict]:
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                events.append((f"{path}:{number}", json.loads(line)))
             except json.JSONDecodeError as err:
                 raise SystemExit(f"{path}:{number}: bad trace line: {err}")
     return events
 
 
-def group_runs(events: list[dict]) -> list[dict]:
-    """Split the flat event stream into runs: start, iterations, end."""
+def group_runs(events: list[tuple[str, dict]]) -> list[dict]:
+    """Split the located event stream into runs: start, iterations, end.
+
+    Every event must sit between its own run's run_start and run_end. A
+    run_start inside an open run, or an event outside any run, means
+    runs were interleaved (or the trace lost its head): exit 2, naming
+    the line. A final run without run_end (a crashed run) is kept.
+    """
     runs = []
     current = None
-    for event in events:
+    for where, event in events:
         kind = event.get("type")
+        if kind == "run_start" and current is not None:
+            problem = f"run_start inside the run from {current['where']}"
+        elif kind != "run_start" and current is None:
+            problem = f"{kind} event outside any run"
+        else:
+            problem = None
+        if problem:
+            print(f"{where}: {problem} (interleaved trace)", file=sys.stderr)
+            raise SystemExit(2)
         if kind == "run_start":
-            current = {"start": event, "iterations": [], "end": None}
+            current = {"start": event, "iterations": [], "end": None,
+                       "where": where}
             runs.append(current)
-        elif current is None:
-            continue  # tolerate truncated traces
         elif kind == "iteration":
             current["iterations"].append(event)
         elif kind == "run_end":
@@ -295,7 +310,7 @@ def coverage_section(tree: dict) -> list[str]:
     return lines
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -312,7 +327,7 @@ def main() -> int:
     parser.add_argument("--assert-coverage", type=float, metavar="PCT",
                         help="exit 1 unless every algorithm span attributes "
                              "at least PCT%% of its total to phases")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.trace is None and args.artifact is None:
         parser.error("need --trace and/or --artifact")
 
