@@ -291,24 +291,34 @@ inline Json artifactHeader(const BenchConfig& cfg, const std::string& bench,
   return doc;
 }
 
+/// Write @p text and a final newline to @p path, or name the path on
+/// stderr and exit 1 — a bench asked for a file it silently failed to
+/// produce would poison downstream comparisons. fwrite, fputc and fclose
+/// are all checked: on a full disk the buffered bytes often fail only at
+/// fclose.
+inline void writeFileOrExit(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
+    std::exit(1);
+  }
+  const bool wrote =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+      std::fputc('\n', f) != EOF;
+  if (std::fclose(f) != 0 || !wrote) {
+    std::fprintf(stderr, "failed to write '%s'\n", path.c_str());
+    std::exit(1);
+  }
+}
+
 /// Write @p doc (with a telemetry metrics snapshot appended) to the --out
-/// path. Exits with an error when the file cannot be written — a bench
-/// asked for an artifact it silently failed to produce would poison
-/// downstream comparisons. No-op when --out was not given. Under
+/// path through writeFileOrExit. No-op when --out was not given. Under
 /// --no-timing the snapshot omits peak RSS and span wall times, so the
 /// artifact bytes depend only on the seed, not the thread count.
 inline void writeArtifactFile(const BenchConfig& cfg, Json doc) {
   if (cfg.out.empty()) return;
   doc.set("metrics", telemetry::metricsSnapshot(cfg.timing));
-  std::FILE* f = std::fopen(cfg.out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open artifact file '%s'\n", cfg.out.c_str());
-    std::exit(1);
-  }
-  const std::string text = doc.dump();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  writeFileOrExit(cfg.out, doc.dump());
   std::fprintf(stderr, "wrote artifact %s\n", cfg.out.c_str());
 }
 

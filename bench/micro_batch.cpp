@@ -184,16 +184,7 @@ int main(int argc, char** argv) {
     fixture.set("version", 2);
     fixture.set("log", mid);
     fixture.set("result", Json::parse(golden));
-    std::FILE* f = std::fopen(dump_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open fixture file '%s'\n",
-                   dump_path.c_str());
-      return 1;
-    }
-    const std::string text = fixture.dump();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
+    bench::writeFileOrExit(dump_path, fixture.dump());
     std::fprintf(stderr, "wrote resume fixture %s\n", dump_path.c_str());
   }
 

@@ -125,10 +125,9 @@ std::optional<std::size_t> Dataset::bestFeasible() const {
 
 std::size_t Dataset::bestByMerit() const {
   MFBO_CHECK(!evals.empty(), "empty dataset");
-  if (const auto feasible = bestFeasible()) return *feasible;
   std::size_t best = 0;
   for (std::size_t i = 1; i < evals.size(); ++i)
-    if (evals[i].totalViolation() < evals[best].totalViolation()) best = i;
+    if (evals[i].betterThan(evals[best])) best = i;
   return best;
 }
 
@@ -267,29 +266,14 @@ SynthesisResult finalizeResult(std::vector<HistoryEntry> history,
   return result;
 }
 
+// mfbo-lint: allow(C001) — any count is valid: it is clamped to the history
 std::optional<std::size_t> bestHighIndex(
-    const std::vector<HistoryEntry>& history) {
+    const std::vector<HistoryEntry>& history, std::size_t count) {
   std::optional<std::size_t> best;
-  bool best_feasible = false;
-  for (std::size_t i = 0; i < history.size(); ++i) {
+  const std::size_t n = std::min(count, history.size());
+  for (std::size_t i = 0; i < n; ++i) {
     if (history[i].fidelity != Fidelity::kHigh) continue;
-    const Evaluation& e = history[i].eval;
-    const bool feasible = e.feasible();
-    if (!best) {
-      best = i;
-      best_feasible = feasible;
-      continue;
-    }
-    const Evaluation& b = history[*best].eval;
-    if (feasible && !best_feasible) {
-      best = i;
-      best_feasible = true;
-    } else if (feasible == best_feasible) {
-      const bool better = feasible
-                              ? e.objective < b.objective
-                              : e.totalViolation() < b.totalViolation();
-      if (better) best = i;
-    }
+    if (!best || history[i].eval.betterThan(history[*best].eval)) best = i;
   }
   return best;
 }

@@ -101,8 +101,9 @@ struct Dataset {
 
   /// Index of the feasible entry with the smallest objective, if any.
   std::optional<std::size_t> bestFeasible() const;
-  /// Feasible-first ranking: best feasible if one exists, otherwise the
-  /// entry with the smallest total violation. Requires non-empty.
+  /// Best entry under Evaluation::betterThan, the earliest on ties: the
+  /// best feasible one if any, otherwise the one with the smallest total
+  /// violation. Requires non-empty.
   std::size_t bestByMerit() const;
   /// Objective column.
   std::vector<double> objectives() const;

@@ -4,20 +4,9 @@
 
 #include "common/check.h"
 #include "common/spans.h"
+#include "opt/de.h"
 
 namespace mfbo::bo {
-
-namespace {
-
-/// Deb's feasibility rules: does @p a beat (or tie) @p b?
-bool dominatesByDeb(const Evaluation& a, const Evaluation& b) {
-  const bool fa = a.feasible(), fb = b.feasible();
-  if (fa != fb) return fa;
-  if (fa) return a.objective <= b.objective;
-  return a.totalViolation() <= b.totalViolation();
-}
-
-}  // namespace
 
 SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
   const std::size_t d = problem.dim();
@@ -54,18 +43,13 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
     spans::addCounter("bo.de.generations");
     for (std::size_t i = 0; i < np && budget_left(); ++i) {
       const auto picks = rng.distinctIndices(3, np, i);
-      const Vector& a = pop[picks[0]];
-      const Vector& b = pop[picks[1]];
-      const Vector& c = pop[picks[2]];
-      Vector trial = pop[i];
-      const std::size_t forced = rng.index(d);
-      for (std::size_t j = 0; j < d; ++j) {
-        if (j == forced || rng.uniform() < options_.crossover)
-          trial[j] = a[j] + options_.differential * (b[j] - c[j]);
-      }
+      Vector trial = opt::deRand1Bin(pop[i], pop[picks[0]], pop[picks[1]],
+                                     pop[picks[2]], options_.differential,
+                                     options_.crossover, rng);
       trial = box.clamp(std::move(trial));
       const Evaluation trial_eval = evaluate(trial);
-      if (dominatesByDeb(trial_eval, evals[i])) {
+      // Ties go to the trial, so a plateau keeps the population moving.
+      if (!evals[i].betterThan(trial_eval)) {
         pop[i] = std::move(trial);
         evals[i] = trial_eval;
         spans::addCounter("bo.de.replacements");

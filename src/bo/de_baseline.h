@@ -1,9 +1,10 @@
 // mfbo::bo — plain differential-evolution baseline (the paper's "DE",
 // standing in for the hybrid EA of Liu et al. 2009).
 //
-// DE/rand/1/bin on the real design box with Deb's feasibility rules for
-// selection: feasible beats infeasible, feasible compares by objective,
-// infeasible compares by total violation. Every candidate costs one
+// DE/rand/1/bin (opt::deRand1Bin) on the real design box with Deb's
+// feasibility rules (Evaluation::betterThan) for selection: feasible beats
+// infeasible, feasible compares by objective, infeasible compares by total
+// violation, and a tie goes to the trial. Every candidate costs one
 // high-fidelity simulation.
 #pragma once
 

@@ -128,36 +128,6 @@ Json mspJson(const MspOptions& msp) {
   return m;
 }
 
-/// bestHighIndex over the first @p count history entries: what the best-so-
-/// far fields of slot k's iteration record must not see is the evaluations
-/// of the batch slots *after* it.
-std::optional<std::size_t> bestHighUpTo(
-    const std::vector<HistoryEntry>& history, std::size_t count) {
-  std::optional<std::size_t> best;
-  bool best_feasible = false;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (history[i].fidelity != Fidelity::kHigh) continue;
-    const Evaluation& e = history[i].eval;
-    const bool feasible = e.feasible();
-    if (!best) {
-      best = i;
-      best_feasible = feasible;
-      continue;
-    }
-    const Evaluation& b = history[*best].eval;
-    if (feasible && !best_feasible) {
-      best = i;
-      best_feasible = true;
-    } else if (feasible == best_feasible) {
-      const bool better = feasible
-                              ? e.objective < b.objective
-                              : e.totalViolation() < b.totalViolation();
-      if (better) best = i;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 const char* engineStateName(EngineState s) {
@@ -361,7 +331,7 @@ void Engine::handleObserve() {
     rec.acquisition = observedAcquisition(slot);
     // Best-so-far over the history prefix this slot can see: its own
     // evaluation and everything before it, not its batch successors.
-    if (const auto best = bestHighUpTo(history_, slot.history_index + 1)) {
+    if (const auto best = bestHighIndex(history_, slot.history_index + 1)) {
       rec.best_objective = history_[*best].eval.objective;
       rec.feasible_found = history_[*best].eval.feasible();
     }
@@ -663,12 +633,10 @@ ProposedSlot MfboEngine::proposeSlot(std::size_t slot_index,
   // tau incumbents (paper 4.1): locations of the current best results of
   // the low- and high-fidelity search spaces.
   const std::optional<Vector> inc_l =
-      low_.size() ? std::optional<Vector>(
-                        low_.x[feas_low ? *feas_low : low_.bestByMerit()])
+      low_.size() ? std::optional<Vector>(low_.x[low_.bestByMerit()])
                   : std::nullopt;
   const std::optional<Vector> inc_h =
-      high_.size() ? std::optional<Vector>(
-                         high_.x[feas_high ? *feas_high : high_.bestByMerit()])
+      high_.size() ? std::optional<Vector>(high_.x[high_.bestByMerit()])
                    : std::nullopt;
 
   ProposedSlot slot;
@@ -877,7 +845,9 @@ std::vector<gp::Prediction> WeiboEngine::constraintPredictions(
 void WeiboEngine::handleInit() {
   if (!replaying())
     traceRunStart("weibo", *problem_, seed_, options_.max_sims);
-  for (const Vector& u : linalg::latinHypercube(initTotal(), unit_, rng_))
+  const std::size_t n_init = std::min<std::size_t>(
+      options_.n_init, static_cast<std::size_t>(options_.max_sims));
+  for (const Vector& u : linalg::latinHypercube(n_init, unit_, rng_))
     evaluateRaw(u, Fidelity::kHigh);
   buildModels();
   transition(EngineState::kFitSurrogate);
@@ -933,8 +903,7 @@ void WeiboEngine::handlePropose() {
       return logWeightedEi(models_[0].predict(u), tau,
                            constraintPredictions(u));
     };
-    const std::optional<Vector> incumbent(
-        high_.x[feasible_idx ? *feasible_idx : high_.bestByMerit()]);
+    const std::optional<Vector> incumbent(high_.x[high_.bestByMerit()]);
     candidate = maximizeAcquisitionMsp(acq, unit_, std::nullopt, incumbent,
                                        options_.msp, rng_);
   }

@@ -178,7 +178,6 @@ class Engine {
   /// Cost of the cheapest evaluation still worth proposing.
   virtual double minStepCost() const = 0;
   virtual std::size_t retrainEvery() const = 0;
-  virtual std::size_t initTotal() const = 0;
   virtual const IterationObserver& observerRef() const = 0;
   virtual void handleInit() = 0;
   virtual void handleFitSurrogate() = 0;
@@ -267,9 +266,6 @@ class MfboEngine final : public Engine {
   double budget() const override { return options_.budget; }
   double minStepCost() const override { return 1.0 / ratio_; }
   std::size_t retrainEvery() const override { return options_.retrain_every; }
-  std::size_t initTotal() const override {
-    return options_.n_init_low + options_.n_init_high;
-  }
   const IterationObserver& observerRef() const override {
     return options_.observer;
   }
@@ -318,10 +314,6 @@ class WeiboEngine final : public Engine {
   double budget() const override { return options_.max_sims; }
   double minStepCost() const override { return 1.0; }
   std::size_t retrainEvery() const override { return options_.retrain_every; }
-  std::size_t initTotal() const override {
-    return std::min<std::size_t>(options_.n_init,
-                                 static_cast<std::size_t>(options_.max_sims));
-  }
   const IterationObserver& observerRef() const override {
     return options_.observer;
   }

@@ -9,23 +9,20 @@
 #include "bo/acquisition.h"
 #include "common/check.h"
 #include "common/spans.h"
+#include "opt/de.h"
 
 namespace mfbo::bo {
 
 namespace {
 
-/// Feasible-first ranking indices: feasible entries by ascending objective,
-/// then infeasible entries by ascending violation.
+/// Indices of @p data ranked best first under Evaluation::betterThan:
+/// feasible entries by ascending objective, then infeasible entries by
+/// ascending violation.
 std::vector<std::size_t> meritOrder(const Dataset& data) {
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const Evaluation& ea = data.evals[a];
-    const Evaluation& eb = data.evals[b];
-    const bool fa = ea.feasible(), fb = eb.feasible();
-    if (fa != fb) return fa;
-    if (fa) return ea.objective < eb.objective;
-    return ea.totalViolation() < eb.totalViolation();
+    return data.evals[a].betterThan(data.evals[b]);
   });
   return order;
 }
@@ -93,18 +90,14 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
     std::vector<Vector> children;
     children.reserve(options_.children);
     for (std::size_t c = 0; c < options_.children; ++c) {
-      const std::size_t target = order[rng.index(pop)];
-      Vector child = data.x[target];
+      Vector child = data.x[order[rng.index(pop)]];
       if (pop >= 4) {
         const auto picks = rng.distinctIndices(3, pop, pop);  // from elites
         const Vector& a = data.x[order[picks[0]]];
         const Vector& b = data.x[order[picks[1]]];
         const Vector& cc = data.x[order[picks[2]]];
-        const std::size_t forced = rng.index(d);
-        for (std::size_t j = 0; j < d; ++j) {
-          if (j == forced || rng.uniform() < options_.crossover)
-            child[j] = a[j] + options_.differential * (b[j] - cc[j]);
-        }
+        child = opt::deRand1Bin(std::move(child), a, b, cc,
+                                options_.differential, options_.crossover, rng);
       } else {
         // Tiny archive: fall back to Gaussian perturbation of an elite.
         child = linalg::gaussianJitterInBox(child, 0.1, unit, rng);

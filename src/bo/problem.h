@@ -41,6 +41,17 @@ struct Evaluation {
       if (c > 0.0) acc += c;
     return acc;
   }
+  /// Deb's feasibility rules, strict: a feasible evaluation beats an
+  /// infeasible one, two feasible ones compare objectives, two infeasible
+  /// ones compare total violation. The library's one feasible-first
+  /// ranking: best-so-far designs, GASPAD's elite pool and DE's survivors
+  /// are all chosen by it.
+  bool betterThan(const Evaluation& other) const {
+    const bool f = feasible(), other_f = other.feasible();
+    if (f != other_f) return f;
+    if (f) return objective < other.objective;
+    return totalViolation() < other.totalViolation();
+  }
 };
 
 /// Constrained two-fidelity black-box problem.

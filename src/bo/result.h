@@ -30,11 +30,12 @@ struct SynthesisResult {
   std::vector<HistoryEntry> history;
 };
 
-/// Index of the best entry among high-fidelity history entries: the
-/// feasible one with the smallest objective, or — when none is feasible —
-/// the one with the smallest total violation. Returns nullopt when there
-/// are no high-fidelity entries.
+/// Index of the best entry under Evaluation::betterThan among the
+/// high-fidelity entries of the first @p count history entries (all of
+/// them by default; a count past the end is clamped), the earliest on
+/// ties. Returns nullopt when there are no such entries.
 std::optional<std::size_t> bestHighIndex(
-    const std::vector<HistoryEntry>& history);
+    const std::vector<HistoryEntry>& history,
+    std::size_t count = static_cast<std::size_t>(-1));
 
 }  // namespace mfbo::bo

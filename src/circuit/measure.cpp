@@ -8,13 +8,6 @@
 
 namespace mfbo::circuit {
 
-std::vector<double> nodeWaveform(const TransientResult& result, NodeId node) {
-  std::vector<double> out(result.solution.size());
-  for (std::size_t k = 0; k < result.solution.size(); ++k)
-    out[k] = result.nodeVoltage(k, node);
-  return out;
-}
-
 std::size_t windowStart(const TransientResult& result, double t_start) {
   for (std::size_t k = 0; k < result.time.size(); ++k)
     if (result.time[k] >= t_start - 1e-15) return k;

@@ -1,8 +1,8 @@
 // mfbo::circuit — post-processing measurements on transient results.
 //
 // These are the SPICE ".measure" equivalents the testbenches need: average
-// source power, node waveform extraction, fundamental output power,
-// efficiency, and windowed device-current statistics.
+// source power, fundamental output power, efficiency, and windowed
+// device-current statistics.
 #pragma once
 
 #include <functional>
@@ -11,9 +11,6 @@
 #include "circuit/simulator.h"
 
 namespace mfbo::circuit {
-
-/// Node-voltage waveform over the whole record.
-std::vector<double> nodeWaveform(const TransientResult& result, NodeId node);
 
 /// Index of the first sample with time ≥ t_start (clamped to the last).
 std::size_t windowStart(const TransientResult& result, double t_start);

@@ -14,6 +14,20 @@ namespace {
 /// and cutoff devices from making the Jacobian singular.
 constexpr double kGmin = 1e-12;
 
+/// Newton gives up after kMaxNewtonIterations; it has converged once an
+/// undamped step moves every node by at most kVAbstol + kVReltol·|v|.
+constexpr std::size_t kMaxNewtonIterations = 100;
+constexpr double kVAbstol = 1e-6;
+constexpr double kVReltol = 1e-3;
+/// Newton damping clamp per iteration.
+constexpr double kMaxStepVoltage = 0.5;
+/// DC source-stepping ladder size.
+constexpr std::size_t kSourceSteps = 20;
+/// Hard bound on node voltages during Newton — keeps a diverging iterate
+/// from running away before damping can recover it. Must exceed any
+/// legitimate node voltage of the circuit.
+constexpr double kVClamp = 1000.0;
+
 std::size_t idx(NodeId n) { return static_cast<std::size_t>(n); }
 
 double nodeV(const Vector& x, NodeId n) {
@@ -60,9 +74,8 @@ void addBranch(Matrix& g, std::size_t br, NodeId np, NodeId nn) {
 
 }  // namespace
 
-Simulator::Simulator(const Netlist& netlist, SimOptions options)
+Simulator::Simulator(const Netlist& netlist)
     : netlist_(netlist),
-      options_(options),
       n_nodes_(netlist.numNodes()),
       n_branches_(netlist.vsources().size() + netlist.inductors().size() +
                   netlist.vcvs().size()),
@@ -224,7 +237,7 @@ bool Simulator::newtonSolve(Vector& x, double t, double dt, const Vector* prev,
   MFBO_DCHECK(x.size() == dim(), "state size ", x.size(), " != ", dim());
   Matrix g;
   Vector rhs;
-  for (std::size_t iter = 0; iter < options_.max_newton_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxNewtonIterations; ++iter) {
     assemble(g, rhs, x, t, dt, prev, source_scale);
     Vector x_new;
     try {
@@ -239,18 +252,14 @@ bool Simulator::newtonSolve(Vector& x, double t, double dt, const Vector* prev,
     for (std::size_t i = 0; i < n_nodes_; ++i)
       max_dv = std::max(max_dv, std::abs(x_new[i] - x[i]));
     const double scale =
-        max_dv > options_.max_step_voltage
-            ? options_.max_step_voltage / max_dv
-            : 1.0;
+        max_dv > kMaxStepVoltage ? kMaxStepVoltage / max_dv : 1.0;
     bool converged = true;
     for (std::size_t i = 0; i < dim(); ++i) {
       const double dx = scale * (x_new[i] - x[i]);
       x[i] += dx;
       if (i < n_nodes_)
-        x[i] = std::clamp(x[i], -options_.v_clamp, options_.v_clamp);
-      if (i < n_nodes_ &&
-          std::abs(dx) >
-              options_.v_abstol + options_.v_reltol * std::abs(x[i]))
+        x[i] = std::clamp(x[i], -kVClamp, kVClamp);
+      if (i < n_nodes_ && std::abs(dx) > kVAbstol + kVReltol * std::abs(x[i]))
         converged = false;
     }
     if (converged && scale == 1.0) return true;
@@ -293,9 +302,9 @@ DcResult Simulator::dcOperatingPoint(const Vector* initial_guess) {
 
   // 3. Source stepping: ramp all independent sources up from zero.
   x = Vector(dim());
-  for (std::size_t s = 1; s <= options_.source_steps; ++s) {
+  for (std::size_t s = 1; s <= kSourceSteps; ++s) {
     const double scale =
-        static_cast<double>(s) / static_cast<double>(options_.source_steps);
+        static_cast<double>(s) / static_cast<double>(kSourceSteps);
     if (!newtonSolve(x, 0.0, 0.0, nullptr, scale)) {
       result.solution = std::move(x);
       return result;  // converged stays false

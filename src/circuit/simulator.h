@@ -44,23 +44,11 @@ struct TransientResult {
 
 struct AcResult;
 
-struct SimOptions {
-  std::size_t max_newton_iterations = 100;
-  double v_abstol = 1e-6;
-  double v_reltol = 1e-3;
-  double max_step_voltage = 0.5;  ///< Newton damping clamp per iteration
-  std::size_t source_steps = 20;  ///< DC source-stepping ladder size
-  /// Hard bound on node voltages during Newton — keeps a diverging iterate
-  /// from running away before damping can recover it. Must exceed any
-  /// legitimate node voltage of the circuit.
-  double v_clamp = 1000.0;
-};
-
 /// MNA simulation engine bound to one netlist. The netlist must outlive the
 /// simulator.
 class Simulator {
  public:
-  explicit Simulator(const Netlist& netlist, SimOptions options = {});
+  explicit Simulator(const Netlist& netlist);
 
   /// Size of the MNA system (nodes + branches).
   std::size_t dim() const { return n_nodes_ + n_branches_; }
@@ -120,7 +108,6 @@ class Simulator {
   void stampNonlinear(Matrix& g, Vector* rhs, const Vector& x) const;
 
   const Netlist& netlist_;
-  SimOptions options_;
   std::size_t n_nodes_;
   std::size_t n_branches_;       // vsources, inductors, then VCVS
   std::size_t vsource_offset_;   // index of first vsource branch unknown

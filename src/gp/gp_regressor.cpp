@@ -283,11 +283,6 @@ Prediction GpRegressor::predict(const Vector& x) const {
   return {standardizer_.unapply(mu_z), standardizer_.unapplyVariance(var_z)};
 }
 
-double GpRegressor::currentNlml() const {
-  MFBO_CHECK(fitted(), "model is not fitted");
-  return negLogMarginalLikelihood(*kernel_, log_sigma_n_, x_, y_std_);
-}
-
 const linalg::Cholesky& GpRegressor::posteriorCholesky() const {
   MFBO_CHECK(chol_ != nullptr, "model is not fitted");
   return *chol_;

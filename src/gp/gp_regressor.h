@@ -83,9 +83,6 @@ class GpRegressor {
   /// Posterior mean and variance at @p x (original units, eq. 4).
   Prediction predict(const Vector& x) const;
 
-  /// NLML of the current hyperparameters on the current data.
-  double currentNlml() const;
-
   std::size_t size() const { return x_.size(); }
   std::size_t inputDim() const { return kernel_->inputDim(); }
   const Kernel& kernel() const { return *kernel_; }

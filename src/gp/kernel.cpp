@@ -70,8 +70,6 @@ std::string SeArdKernel::paramName(std::size_t i) const {
   return "log_l" + std::to_string(i - 1);
 }
 
-double SeArdKernel::sigmaF() const { return std::exp(log_sigma_f_); }
-
 double SeArdKernel::lengthscale(std::size_t i) const {
   MFBO_CHECK(i < log_l_.size(), "lengthscale index ", i, " out of range [0,",
              log_l_.size(), ")");

@@ -76,7 +76,6 @@ class SeArdKernel final : public Kernel {
   void accumulateWeightedGrad(const std::vector<Vector>& x, const Matrix& w,
                               Vector& grad) const override;
 
-  double sigmaF() const;
   double lengthscale(std::size_t i) const;
 
   std::unique_ptr<Kernel> clone() const override {

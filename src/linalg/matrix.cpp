@@ -68,12 +68,6 @@ Matrix& Matrix::operator*=(double s) {
   return *this;
 }
 
-double Matrix::frobeniusNorm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
 bool Matrix::allFinite() const {
   return std::all_of(data_.begin(), data_.end(),
                      [](double v) { return std::isfinite(v); });

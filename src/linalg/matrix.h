@@ -64,8 +64,6 @@ class Matrix {
   Matrix& operator-=(const Matrix& rhs);
   Matrix& operator*=(double s);
 
-  /// Frobenius norm.
-  double frobeniusNorm() const;
   /// True if every entry is finite.
   bool allFinite() const;
   /// Maximum |a_ij - b_ij| over all entries; dimensions must agree.

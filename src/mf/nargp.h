@@ -57,7 +57,6 @@ class NargpModel final : public MfSurrogate {
   std::vector<double> hyperparameters() const override;
 
   std::size_t xDim() const { return x_dim_; }
-  const gp::GpRegressor& lowGp() const { return low_gp_; }
   const gp::GpRegressor& highGp() const { return high_gp_; }
 
  private:

@@ -1,71 +1,23 @@
 #include "opt/de.h"
 
-#include <cmath>
-#include <limits>
-#include <vector>
-
 #include "common/check.h"
 
 namespace mfbo::opt {
 
-OptResult deMinimize(const ScalarObjective& f, const Box& box,
-                     linalg::Rng& rng, const DeOptions& options,
-                     const DeCallback& callback) {
-  MFBO_CHECK(box.dim() > 0, "zero-dimensional search box");
-  const std::size_t d = box.dim();
-  const std::size_t np = std::max<std::size_t>(options.population, 4);
-  OptResult result;
-  result.value = std::numeric_limits<double>::max();
-
-  auto eval = [&](const Vector& x) {
-    ++result.evaluations;
-    const double v = f(x);
-    return std::isfinite(v) ? v : std::numeric_limits<double>::max();
-  };
-  auto budget_left = [&] {
-    return options.max_evaluations == 0 ||
-           result.evaluations < options.max_evaluations;
-  };
-
-  std::vector<Vector> pop = linalg::latinHypercube(np, box, rng);
-  std::vector<double> values(np);
-  for (std::size_t i = 0; i < np && budget_left(); ++i) {
-    values[i] = eval(pop[i]);
-    if (values[i] < result.value) {
-      result.value = values[i];
-      result.x = pop[i];
-    }
+linalg::Vector deRand1Bin(linalg::Vector target, const linalg::Vector& a,
+                          const linalg::Vector& b, const linalg::Vector& c,
+                          double differential, double crossover,
+                          linalg::Rng& rng) {
+  const std::size_t d = target.size();
+  MFBO_CHECK(d > 0, "zero-dimensional DE target");
+  MFBO_CHECK(a.size() == d && b.size() == d && c.size() == d,
+             "DE parents must match the target's dimension ", d);
+  const std::size_t forced = rng.index(d);  // at least one mutant gene
+  for (std::size_t j = 0; j < d; ++j) {
+    if (j == forced || rng.uniform() < crossover)
+      target[j] = a[j] + differential * (b[j] - c[j]);
   }
-
-  for (std::size_t gen = 0; gen < options.max_generations && budget_left();
-       ++gen) {
-    ++result.iterations;
-    for (std::size_t i = 0; i < np && budget_left(); ++i) {
-      const auto picks = rng.distinctIndices(3, np, i);
-      const Vector& a = pop[picks[0]];
-      const Vector& b = pop[picks[1]];
-      const Vector& c = pop[picks[2]];
-      Vector trial = pop[i];
-      const std::size_t forced = rng.index(d);  // at least one mutant gene
-      for (std::size_t j = 0; j < d; ++j) {
-        if (j == forced || rng.uniform() < options.crossover)
-          trial[j] = a[j] + options.differential * (b[j] - c[j]);
-      }
-      trial = box.clamp(std::move(trial));
-      const double trial_value = eval(trial);
-      if (trial_value <= values[i]) {
-        pop[i] = std::move(trial);
-        values[i] = trial_value;
-        if (trial_value < result.value) {
-          result.value = trial_value;
-          result.x = pop[i];
-        }
-      }
-    }
-    if (callback && !callback(gen, result.value)) break;
-  }
-  result.converged = true;  // DE has no gradient criterion; budget-based stop
-  return result;
+  return target;
 }
 
 }  // namespace mfbo::opt

@@ -1,33 +1,25 @@
-// mfbo::opt — differential evolution (DE/rand/1/bin).
+// mfbo::opt — the differential-evolution step DE/rand/1/bin.
 //
-// Serves two roles: the global engine inside the GASPAD baseline, and the
-// standalone DE baseline of the paper's Tables 1-2 (Liu et al. 2009 use a
-// hybrid EA; classic DE is the canonical stand-in).
+// Both evolutionary baselines of the paper's Tables 1-2 breed with this one
+// step: GASPAD its children from the elite pool, and the plain DE baseline
+// (standing in for the hybrid EA of Liu et al. 2009) its trial vectors. The
+// callers own the population, the parent picks, the clamping to the box and
+// the selection.
 #pragma once
 
-#include <functional>
-
-#include "opt/objective.h"
+#include "linalg/rng.h"
+#include "linalg/vector.h"
 
 namespace mfbo::opt {
 
-struct DeOptions {
-  std::size_t population = 40;
-  std::size_t max_generations = 100;
-  double crossover = 0.8;       ///< CR, probability of taking the mutant gene
-  double differential = 0.7;    ///< F, differential weight
-  /// Optional cap on total objective evaluations (0 = unlimited). The run
-  /// stops mid-generation once the cap is reached.
-  std::size_t max_evaluations = 0;
-};
-
-/// Per-generation callback: (generation, best value so far). Return false to
-/// stop early (used by budget-limited baseline runs).
-using DeCallback = std::function<bool(std::size_t, double)>;
-
-/// Global minimization of f over a box with DE/rand/1/bin.
-OptResult deMinimize(const ScalarObjective& f, const Box& box,
-                     linalg::Rng& rng, const DeOptions& options = {},
-                     const DeCallback& callback = nullptr);
+/// DE/rand/1/bin trial vector: @p target with binomial crossover against
+/// the mutant a + F·(b − c). Coordinate j takes the mutant gene when it is
+/// the forced coordinate (one uniform rng.index(d) draw, made first) or
+/// when its own rng.uniform() draw falls below @p crossover (CR); the
+/// forced coordinate draws no uniform. The result is not clamped.
+linalg::Vector deRand1Bin(linalg::Vector target, const linalg::Vector& a,
+                          const linalg::Vector& b, const linalg::Vector& c,
+                          double differential, double crossover,
+                          linalg::Rng& rng);
 
 }  // namespace mfbo::opt

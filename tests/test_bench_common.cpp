@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,6 +77,26 @@ TEST(BestHighIndex, IgnoresBetterLowFidelityEntries) {
   const auto best = bo::bestHighIndex(h);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 1u);
+}
+
+TEST(BestHighIndex, CountLimitsTheHistoryPrefix) {
+  std::vector<bo::HistoryEntry> h;
+  h.push_back(entry(-1.0, {-1.0}, bo::Fidelity::kLow, 0.1));
+  h.push_back(entry(5.0, {2.0}, bo::Fidelity::kHigh, 1.1));
+  h.push_back(entry(4.0, {1.0}, bo::Fidelity::kHigh, 2.1));
+  h.push_back(entry(3.0, {1.0}, bo::Fidelity::kHigh, 3.1));  // tie
+  h.push_back(entry(9.0, {-1.0}, bo::Fidelity::kHigh, 4.1));
+  h.push_back(entry(-50.0, {-1.0}, bo::Fidelity::kLow, 4.2));
+  h.push_back(entry(2.0, {-0.5}, bo::Fidelity::kHigh, 5.2));
+  h.push_back(entry(2.0, {-0.7}, bo::Fidelity::kHigh, 6.2));  // tie
+  for (std::size_t k = 0; k <= h.size(); ++k) {
+    const std::vector<bo::HistoryEntry> prefix(h.begin(), h.begin() + k);
+    EXPECT_EQ(bo::bestHighIndex(h, k), bo::bestHighIndex(prefix)) << k;
+  }
+  // A count past the end is clamped to the history.
+  EXPECT_EQ(bo::bestHighIndex(h, h.size() + 3), bo::bestHighIndex(h));
+  EXPECT_EQ(bo::bestHighIndex(h, static_cast<std::size_t>(-1)),
+            std::optional<std::size_t>(6));
 }
 
 // --- costToReachBest ----------------------------------------------------
@@ -345,6 +366,23 @@ TEST(Artifact, WriteAndParseRoundTrip) {
   EXPECT_TRUE(doc.at("metrics").contains("peak_rss_bytes"));
   EXPECT_FALSE(doc.at("metrics").contains("spans"));
   std::remove(cfg.out.c_str());
+}
+
+// On a full disk the bytes fit the stdio buffer and only fclose fails;
+// /dev/full reproduces that. The bench must say so and exit 1, not report
+// an artifact it never wrote.
+TEST(ArtifactDeath, FullDiskExitsNamingThePath) {
+  bench::BenchConfig cfg;
+  cfg.out = "/dev/full";
+  bench::AlgoStats a{"alpha"};
+  EXPECT_EXIT(bench::writeArtifact(cfg, "test_bench", 0, {&a}),
+              ::testing::ExitedWithCode(1), "failed to write '/dev/full'");
+}
+
+TEST(ArtifactDeath, UnopenablePathExitsNamingThePath) {
+  EXPECT_EXIT(bench::writeFileOrExit("no_such_dir/fixture.json", "{}"),
+              ::testing::ExitedWithCode(1),
+              "cannot open 'no_such_dir/fixture.json'");
 }
 
 TEST(Artifact, NoOutPathIsNoOp) {

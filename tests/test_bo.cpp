@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "bo/common.h"
 #include "bo/de_baseline.h"
@@ -10,6 +11,8 @@
 #include "bo/mfbo.h"
 #include "bo/weibo.h"
 #include "common/check.h"
+#include "common/json.h"
+#include "common/spans.h"
 #include "problems/synthetic.h"
 
 namespace {
@@ -70,6 +73,60 @@ TEST(Dataset, MeritFallsBackToViolation) {
   d.add(Vector{0.3}, Evaluation{2.0, {0.5}});
   EXPECT_FALSE(d.bestFeasible().has_value());
   EXPECT_EQ(d.bestByMerit(), 1u);
+}
+
+TEST(Dataset, MeritKeepsTheFirstOfTies) {
+  Dataset d;
+  d.add(Vector{0.1}, Evaluation{5.0, {1.0}});
+  d.add(Vector{0.2}, Evaluation{3.0, {-0.1}});
+  d.add(Vector{0.3}, Evaluation{3.0, {-0.5}});  // ties entry 1
+  EXPECT_EQ(d.bestByMerit(), 1u);
+  Dataset infeasible;
+  infeasible.add(Vector{0.1}, Evaluation{5.0, {0.5}});
+  infeasible.add(Vector{0.2}, Evaluation{1.0, {0.5}});  // same violation
+  EXPECT_EQ(infeasible.bestByMerit(), 0u);
+}
+
+// ------------------------------------------------- Deb's feasibility rules --
+
+TEST(BetterThan, FeasibleBeatsInfeasibleWhateverTheObjective) {
+  const Evaluation feasible{10.0, {-1.0}};
+  const Evaluation infeasible{-10.0, {0.1}};
+  EXPECT_TRUE(feasible.betterThan(infeasible));
+  EXPECT_FALSE(infeasible.betterThan(feasible));
+  // A constraint at exactly 0 is violated (c < 0 is feasible), although it
+  // adds nothing to the total violation.
+  const Evaluation boundary{-10.0, {0.0}};
+  EXPECT_TRUE(feasible.betterThan(boundary));
+  EXPECT_FALSE(boundary.betterThan(feasible));
+}
+
+TEST(BetterThan, TwoFeasibleCompareObjectives) {
+  const Evaluation low{1.0, {-1.0}};
+  const Evaluation high{2.0, {-5.0}};
+  EXPECT_TRUE(low.betterThan(high));
+  EXPECT_FALSE(high.betterThan(low));
+  // Unconstrained evaluations are always feasible.
+  EXPECT_TRUE((Evaluation{-1.0, {}}).betterThan(Evaluation{0.0, {}}));
+}
+
+TEST(BetterThan, TwoInfeasibleCompareTotalViolation) {
+  const Evaluation small{100.0, {0.5, -3.0, 0.25}};  // violation 0.75
+  const Evaluation large{-100.0, {1.0}};             // violation 1.0
+  EXPECT_TRUE(small.betterThan(large));
+  EXPECT_FALSE(large.betterThan(small));
+}
+
+TEST(BetterThan, TiesFavourNeitherSide) {
+  const Evaluation a{1.0, {-1.0}};
+  const Evaluation b{1.0, {-2.0}};  // same objective, both feasible
+  EXPECT_FALSE(a.betterThan(b));
+  EXPECT_FALSE(b.betterThan(a));
+  const Evaluation c{1.0, {0.5, 0.5}};
+  const Evaluation d{-7.0, {1.0}};  // same violation, both infeasible
+  EXPECT_FALSE(c.betterThan(d));
+  EXPECT_FALSE(d.betterThan(c));
+  EXPECT_FALSE(a.betterThan(a));
 }
 
 TEST(Dataset, Columns) {
@@ -298,6 +355,45 @@ TEST(DeBaselineTest, RespectsBudget) {
   const SynthesisResult r = DeBaseline(o).run(counting, 53);
   EXPECT_EQ(counting.highCalls(), 37u);
   EXPECT_EQ(r.n_high, 37u);
+}
+
+/// Every design evaluates the same: a plateau, feasible or not.
+class ConstantProblem final : public Problem {
+ public:
+  explicit ConstantProblem(double constraint) : constraint_(constraint) {}
+  std::string name() const override { return "constant"; }
+  std::size_t dim() const override { return 3; }
+  std::size_t numConstraints() const override { return 1; }
+  Box bounds() const override { return Box::unitCube(3); }
+  Evaluation evaluate(const Vector&, Fidelity) override {
+    return {2.5, {constraint_}};
+  }
+  double costRatio() const override { return 1.0; }
+
+ private:
+  double constraint_;
+};
+
+TEST(DeBaselineTest, TiesGoToTheTrial) {
+  for (const double constraint : {-1.0, 1.0}) {
+    mfbo::spans::reset();
+    mfbo::spans::setEnabled(true);
+    ConstantProblem problem(constraint);
+    DeBaselineOptions o;
+    o.population = 8;
+    o.max_sims = 40;
+    DeBaseline(o).run(problem, 61);
+    const mfbo::Json de = mfbo::spans::snapshot(false).at("children").at("de");
+    mfbo::spans::setEnabled(false);
+    mfbo::spans::reset();
+    const double trials =
+        de.at("children").at("simulate_high").at("count").asNumber() -
+        static_cast<double>(o.population);
+    ASSERT_EQ(trials, 32.0);
+    // Every trial ties its target, so every trial replaces it.
+    EXPECT_EQ(de.at("counters").at("bo.de.replacements").asNumber(), trials)
+        << "constraint " << constraint;
+  }
 }
 
 // The headline comparative property (a miniature Table 1/2): with matched

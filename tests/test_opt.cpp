@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 #include "opt/de.h"
@@ -26,13 +27,6 @@ double rosenbrock(const Vector& x) {
     const double b = 1.0 - x[i];
     acc += 100.0 * a * a + b * b;
   }
-  return acc;
-}
-
-double rastrigin(const Vector& x) {
-  double acc = 10.0 * static_cast<double>(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    acc += x[i] * x[i] - 10.0 * std::cos(2.0 * M_PI * x[i]);
   return acc;
 }
 
@@ -174,66 +168,73 @@ TEST(NelderMead, SurvivesNanRegions) {
 
 // --------------------------------------------------------------------- DE --
 
-TEST(De, SolvesSphereGlobally) {
-  Rng rng(101);
-  Box box(Vector{-5.0, -5.0, -5.0}, Vector{5.0, 5.0, 5.0});
-  DeOptions opts;
-  opts.population = 30;
-  opts.max_generations = 120;
-  OptResult r = deMinimize(sphere, box, rng, opts);
-  EXPECT_NEAR(r.value, 0.0, 1e-4);
+/// The textbook DE/rand/1/bin loop (Storn & Price 1997), written out as a
+/// reference: the forced coordinate is drawn first, then one uniform per
+/// coordinate that is not forced.
+Vector textbookTrial(Vector target, const Vector& a, const Vector& b,
+                     const Vector& c, double f, double cr, Rng& rng) {
+  const std::size_t forced = rng.index(target.size());
+  for (std::size_t j = 0; j < target.size(); ++j) {
+    const bool take = j == forced || rng.uniform() < cr;
+    if (take) target[j] = a[j] + f * (b[j] - c[j]);
+  }
+  return target;
 }
 
-TEST(De, EscapesRastriginLocalMinima) {
-  Rng rng(202);
-  Box box(Vector{-5.12, -5.12}, Vector{5.12, 5.12});
-  DeOptions opts;
-  opts.population = 40;
-  opts.max_generations = 200;
-  OptResult r = deMinimize(rastrigin, box, rng, opts);
-  // Global minimum 0 at origin; local minima are ≥ ~1.
-  EXPECT_LT(r.value, 0.5);
+bool sameBits(const Vector& x, const Vector& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
 }
 
-TEST(De, HonorsEvaluationCap) {
-  Rng rng(303);
-  Box box = Box::unitCube(4);
-  std::size_t calls = 0;
-  ScalarObjective counting = [&](const Vector& x) {
-    ++calls;
-    return sphere(x);
+TEST(DeRand1Bin, MatchesTheTextbookLoopDrawForDraw) {
+  for (const std::size_t d : {1u, 5u, 36u}) {
+    for (const double cr : {0.0, 0.8, 1.0}) {
+      Rng parents(1000 + d);
+      const Vector target = parents.uniformVector(d);
+      const Vector a = parents.uniformVector(d);
+      const Vector b = parents.uniformVector(d);
+      const Vector c = parents.uniformVector(d);
+      Rng rng_lib(77 + d), rng_ref(77 + d);
+      for (int round = 0; round < 20; ++round) {
+        const Vector got = deRand1Bin(target, a, b, c, 0.7, cr, rng_lib);
+        const Vector want = textbookTrial(target, a, b, c, 0.7, cr, rng_ref);
+        ASSERT_TRUE(sameBits(got, want)) << "d=" << d << " cr=" << cr;
+      }
+      // Both generators consumed the same draws.
+      EXPECT_EQ(rng_lib.uniform(), rng_ref.uniform())
+          << "d=" << d << " cr=" << cr;
+    }
+  }
+}
+
+TEST(DeRand1Bin, CrossoverRateBoundsTheMutantGenes) {
+  const std::size_t d = 36;
+  Rng parents(5);
+  const Vector target = parents.uniformVector(d, 2.0, 3.0);
+  const Vector a = parents.uniformVector(d);
+  const Vector b = parents.uniformVector(d);
+  const Vector c = parents.uniformVector(d);
+  Rng rng(6);
+  const auto changed = [&](double cr) {
+    const Vector trial = deRand1Bin(target, a, b, c, 0.5, cr, rng);
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < d; ++j) n += trial[j] != target[j];
+    return n;
   };
-  DeOptions opts;
-  opts.population = 20;
-  opts.max_generations = 1000;
-  opts.max_evaluations = 123;
-  OptResult r = deMinimize(counting, box, rng, opts);
-  EXPECT_EQ(calls, 123u);
-  EXPECT_EQ(r.evaluations, 123u);
+  for (int round = 0; round < 10; ++round) {
+    EXPECT_EQ(changed(0.0), 1u);  // only the forced coordinate
+    EXPECT_EQ(changed(1.0), d);   // every coordinate
+  }
 }
 
-TEST(De, CallbackCanStopEarly) {
-  Rng rng(404);
-  Box box = Box::unitCube(2);
-  std::size_t generations_seen = 0;
-  deMinimize(
-      sphere, box, rng, DeOptions{},
-      [&](std::size_t gen, double) {
-        generations_seen = gen + 1;
-        return gen < 4;  // stop after 5 generations
-      });
-  EXPECT_EQ(generations_seen, 5u);
-}
-
-TEST(De, DeterministicGivenSeed) {
-  Box box = Box::unitCube(3);
-  DeOptions opts;
-  opts.max_generations = 20;
-  Rng rng_a(7), rng_b(7);
-  OptResult a = deMinimize(rastrigin, box, rng_a, opts);
-  OptResult b = deMinimize(rastrigin, box, rng_b, opts);
-  EXPECT_DOUBLE_EQ(a.value, b.value);
-  EXPECT_LT(mfbo::linalg::maxAbsDiff(a.x, b.x), 1e-15);
+TEST(DeRand1Bin, RejectsMismatchedParents) {
+  Rng rng(1);
+  const Vector x3{0.0, 0.0, 0.0};
+  EXPECT_THROW(deRand1Bin(x3, x3, x3, Vector{0.0}, 0.7, 0.8, rng),
+               mfbo::ContractViolation);
+  const Vector empty;
+  EXPECT_THROW(deRand1Bin(empty, empty, empty, empty, 0.7, 0.8, rng),
+               mfbo::ContractViolation);
 }
 
 // -------------------------------------------------------------- Multistart --

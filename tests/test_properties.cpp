@@ -5,8 +5,11 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "bo/acquisition.h"
+#include "bo/de_baseline.h"
 #include "bo/mfbo.h"
 #include "bo/weibo.h"
 #include "circuit/netlist.h"
@@ -15,7 +18,6 @@
 #include "linalg/cholesky.h"
 #include "linalg/rng.h"
 #include "linalg/sampling.h"
-#include "opt/de.h"
 #include "opt/nelder_mead.h"
 #include "problems/synthetic.h"
 
@@ -180,6 +182,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------- optimizers stay inside the box ----
 
+/// An unconstrained objective on a box, as a problem for the DE baseline.
+class BoxedObjective final : public bo::Problem {
+ public:
+  BoxedObjective(Box box, opt::ScalarObjective f)
+      : box_(std::move(box)), f_(std::move(f)) {}
+  std::string name() const override { return "boxed_objective"; }
+  std::size_t dim() const override { return box_.dim(); }
+  std::size_t numConstraints() const override { return 0; }
+  Box bounds() const override { return box_; }
+  bo::Evaluation evaluate(const Vector& x, bo::Fidelity) override {
+    return {f_(x), {}};
+  }
+  double costRatio() const override { return 1.0; }
+
+ private:
+  Box box_;
+  opt::ScalarObjective f_;
+};
+
 class BoxRespectSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BoxRespectSweep, NelderMeadAndDeNeverLeaveTheBox) {
@@ -194,10 +215,12 @@ TEST_P(BoxRespectSweep, NelderMeadAndDeNeverLeaveTheBox) {
   opt::NelderMeadOptions nm;
   nm.max_evaluations = 150;
   opt::nelderMeadMinimize(f, box.fromUnit(rng.uniformVector(d)), box, nm);
-  opt::DeOptions de;
+  BoxedObjective problem(box, f);
+  bo::DeBaselineOptions de;
   de.population = 12;
-  de.max_generations = 10;
-  opt::deMinimize(f, box, rng, de);
+  de.max_sims = 12 + 12 * 10;  // the initial population and 10 generations
+  const bo::SynthesisResult r = bo::DeBaseline(de).run(problem, 37 + d);
+  EXPECT_EQ(r.n_high, 132u);
   EXPECT_EQ(outside, 0u);
 }
 
