@@ -55,6 +55,7 @@ std::chrono::steady_clock::time_point g_start{};
 
 /// Pre-formatted at enable() so the signal handler never formats a path.
 char g_dump_path[512] = {0};
+std::mutex g_dump_mu;  ///< serializes explicit dumps (not the crash handler)
 bool g_handlers_installed = false;
 struct sigaction g_old_segv;
 struct sigaction g_old_abrt;
@@ -327,6 +328,10 @@ Journal::~Journal() {
     slot.held = false;
 }
 
+void Journal::claim() {
+  if (enabled()) claimSlot();
+}
+
 std::size_t Journal::claimSlot() {
   const std::uint64_t generation =
       g_generation.load(std::memory_order_acquire);
@@ -440,8 +445,12 @@ bool dumpFlightRecorder() {
 
 bool dumpFlightRecorder(const char* path) {
   // The explicit (non-signal) dump is an ordinary slow path: span-covered
-  // like every other hot-path boundary, then the signal-safe writer.
+  // like every other hot-path boundary, then the signal-safe writer. Two
+  // dumps truncating and writing one file through two descriptors can mix
+  // their snapshots, so explicit dumps take turns; the crash handler
+  // writes without the lock, as it must stay async-signal-safe.
   const spans::ScopedSpan dump_span("flightrec_dump");
+  const std::lock_guard<std::mutex> lock(g_dump_mu);
   return dumpToPath(path);
 }
 

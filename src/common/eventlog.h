@@ -15,10 +15,10 @@
 //     ring and no other, so a journal's bytes depend on its session alone.
 //     A full ring overwrites its oldest event and counts it as dropped.
 //   * Fixed storage: a static table of kMaxJournals slots, never freed. A
-//     journal claims the lowest free slot on its first record after
-//     enable() and releases it when destroyed; a released slot keeps its
-//     window until another journal reuses it. Recording never allocates,
-//     and the dump never reads freed memory.
+//     journal claims the lowest free slot at claim() or its first record
+//     after enable() and releases it when destroyed; a released slot keeps
+//     its window until another journal reuses it. Recording never
+//     allocates, and the dump never reads freed memory.
 //   * Deterministic by default: no timestamps, and the dump is
 //     byte-identical at 1 and N threads. wall_clock=true stamps every event
 //     (steady-clock ns since enable()), outside the determinism contract,
@@ -34,9 +34,9 @@
 //
 // Contract: enable()/disable() only from the serial harness; a journal is
 // installed on one thread at a time; detail strings have static storage
-// duration; long labels are truncated. Slots go in first-record order, so
-// dump bytes are thread-count-invariant when journals first record from
-// serial code (SessionManager::create records session_create).
+// duration; long labels are truncated. Slots go in first-claim order, so
+// dump bytes are thread-count-invariant when journals claim from serial
+// code (SessionManager::create and stepRound; see Journal::claim()).
 #pragma once
 
 #include <atomic>
@@ -126,6 +126,12 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
   ~Journal();
 
+  /// Claim this journal's slot now rather than at its first record; a
+  /// no-op while the recorder is off or once claimed this cycle. Slots go
+  /// in claim order, so journals claimed serially before they record
+  /// concurrently keep the dump order independent of the thread count.
+  void claim();
+
  private:
   friend void detail::recordSlow(EventKind, const char*, const char*,
                                  std::int64_t, std::int64_t);
@@ -192,7 +198,10 @@ Json journalJson();
 /// "flightrec_dump" span.
 bool dumpFlightRecorder();
 
-/// Same, to an explicit path.
+/// Same, to an explicit path. Explicit dumps take turns, so dumps raised
+/// from several threads at once (contract violations inside concurrent
+/// session steps) each leave a whole snapshot; the crash handler's dump
+/// takes no lock.
 bool dumpFlightRecorder(const char* path);
 
 /// The path automatic dumps go to ("" when no dump_dir is configured).

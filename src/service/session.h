@@ -6,13 +6,13 @@
 // its flight-recorder journal (common/eventlog.h). Every entry into the
 // engine — construction, step, restore, snapshot — happens under an
 // ArenaScope, and every one that journals also under a JournalScope, so N
-// sessions interleaving on one driver thread and the shared worker pool
-// accumulate spans, span counters, allocation attribution and journal
-// events exactly as if each had run alone. The byte-identity contract
-// tests/test_session_manager.cpp enforces follows directly: a session's
-// --no-timing artifact is byte-identical solo vs. among 8 concurrent
-// sessions at any thread count. Counters, like spans, are recorded only
-// while the profiler is on.
+// sessions stepped concurrently on the shared worker pool (or interleaved
+// on one thread) accumulate spans, span counters, allocation attribution
+// and journal events exactly as if each had run alone. The byte-identity
+// contract tests/test_session_manager.cpp enforces follows directly: a
+// session's --no-timing artifact is byte-identical solo vs. among 8
+// concurrent sessions at any thread count. Counters, like spans, are
+// recorded only while the profiler is on.
 //
 // Persistence is the engine's run log (bo/engine.h): checkpoint() returns
 // the bytes the current boundary appends to it, and restore() replays a

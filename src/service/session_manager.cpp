@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <optional>
 #include <system_error>
@@ -12,6 +13,7 @@
 #include "common/eventlog.h"
 #include "common/memstats.h"
 #include "common/parallel.h"
+#include "common/telemetry.h"
 
 namespace mfbo::service {
 
@@ -135,15 +137,52 @@ std::vector<std::string> SessionManager::ids() const {
 }
 
 std::size_t SessionManager::stepRound() {
-  std::size_t stepped = 0;
-  for (const auto& session : sessions_) {
-    if (session->status() != SessionStatus::kRunning) continue;
-    session->step();
-    ++stepped;
-    persistOnSchedule(*session);
+  std::vector<Session*> running;
+  std::vector<std::exception_ptr> errors;
+  {
+    // Scheduler bookkeeping is service machinery, kept out of the span
+    // allocation counters like persistence.
+    const memstats::PauseScope alloc_pause;
+    for (const auto& session : sessions_) {
+      if (session->status() != SessionStatus::kRunning) continue;
+      running.push_back(session.get());
+      // Claim journal slots here, serially and in creation order: a
+      // recorder enabled after create() would otherwise hand out slots in
+      // whichever order the concurrent steps first record.
+      session->journal().claim();
+    }
+    errors.resize(running.size());
   }
-  if (stepped > 0) ++rounds_;
-  return stepped;
+  // Each failure lands in its own slot, so every session is stepped.
+  const auto step = [&](std::size_t i) {
+    try {
+      running[i]->step();
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  // One pool task per session; regions nested in a step run inline on its
+  // thread. A lone session keeps the pool for its own regions, and trace
+  // events go to one process-wide sink, so both step on this thread.
+  if (running.size() >= 2 && !telemetry::traceEnabled()) {
+    parallel::parallelFor(running.size(), step);
+  } else {
+    for (std::size_t i = 0; i < running.size(); ++i) step(i);
+  }
+  // Persist on this thread, in creation order, every session whose step
+  // returned; a failed persist does not keep the others from theirs.
+  for (std::size_t i = 0; i < running.size(); ++i) {
+    if (errors[i]) continue;
+    try {
+      persistOnSchedule(*running[i]);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  }
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+  if (!running.empty()) ++rounds_;
+  return running.size();
 }
 
 std::size_t SessionManager::runAll() {

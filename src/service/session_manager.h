@@ -2,12 +2,14 @@
 // multiplexed over the one shared deterministic thread pool.
 //
 // Scheduling model: cooperative, fair, and deterministic. stepRound()
-// steps every runnable session exactly once, in creation order; runAll()
-// repeats rounds until nothing is runnable. Each step is one engine state
-// transition whose heavy phases (batch simulations, GP restart training,
-// MSP multistart, NARGP MC) fan out over the common/parallel pool and then
-// yield back to the scheduler, so concurrency lives *inside* a step while
-// the interleaving *between* sessions stays a fixed round-robin.
+// steps every runnable session exactly once, each step one pool task
+// (common/parallel.h) whose nested regions run inline on its thread, then
+// persists the sessions in creation order; runAll() repeats rounds until
+// nothing is runnable. A lone running session, or a round while a trace
+// sink is installed, steps on the calling thread (the session keeps the
+// pool for its own regions; trace events keep creation order). A step
+// computes the same bytes on any thread, so results, artifacts and
+// journals are identical at any thread count.
 //
 // Fairness contract (pinned by tests/test_session_manager.cpp): after any
 // number of rounds, the step counts of the still-running sessions differ
@@ -28,9 +30,11 @@
 // restarts every in-flight session from its last persisted boundary, and
 // the recovered results are byte-identical to an uninterrupted run.
 //
-// Threading: the manager itself is single-driver — all calls come from one
-// thread; parallelism comes from the pool underneath each step. This is
-// what keeps the scheduler deterministic.
+// Threading: the manager's own calls come from one driver thread, which
+// also persists; different sessions step at once on the pool, each on one
+// thread at a time. A failed step does not stop the round (stepRound()).
+// A problem or bo::IterationObserver shared by several sessions'
+// factories must be safe to call from several threads at once.
 #pragma once
 
 #include <cstddef>
@@ -76,8 +80,11 @@ class SessionManager {
   std::size_t size() const { return sessions_.size(); }
 
   /// One fair scheduling round: step every kRunning session exactly once,
-  /// in creation order, persisting on schedule. Returns the number of
-  /// sessions stepped (0 = nothing runnable).
+  /// concurrently over the pool (see Scheduling model), then persist them
+  /// on schedule in creation order. Returns the number of sessions stepped
+  /// (0 = nothing runnable). When steps or persists throw, the rest of the
+  /// round still runs, the lowest-indexed exception is rethrown, and the
+  /// round is not counted.
   std::size_t stepRound();
 
   /// Rounds until no session is runnable (all done or paused). Returns the

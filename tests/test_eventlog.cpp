@@ -1,10 +1,10 @@
 // Flight-recorder battery: ring-wrap drop accounting, journal labels and
 // scopes, slot release and reuse, deterministic-mode byte identity at 1 vs
-// 4 threads (sessions stepped serially or as pool tasks), the
-// ContractViolation hook, and the black-box dump — both the explicit path
-// and the fatal-signal path (FlightrecDeath, a subprocess death-test
-// suite: the child SIGABRTs and the parent validates the dump it left
-// behind).
+// 4 threads (rounds stepped serially or fanned out over the pool), the
+// ContractViolation hook, and the black-box dump — the explicit path
+// (concurrent dumps included) and the fatal-signal path (FlightrecDeath,
+// a subprocess death-test suite: the child SIGABRTs and the parent
+// validates the dump it left behind).
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -264,6 +264,55 @@ TEST(EventlogBasics, ContractViolationDumpsWhenADumpDirIsConfigured) {
   EXPECT_EQ(last.at("kind").asString(), "contract_violation");
 }
 
+TEST(EventlogBasics, ConcurrentViolationDumpsStayWhole) {
+  // Contract violations raised in concurrent session steps each dump the
+  // black box to the same file, while the other steps keep recording.
+  // Each dump spans many writes; the dumps take turns, so the last one is
+  // a whole snapshot holding every event.
+  const ScopedThreads threads(4);
+  constexpr std::size_t kJournals = 8;
+  constexpr std::size_t kViolations = 4;  // per journal
+  constexpr std::size_t kFiller = 59;     // events before each violation
+  constexpr std::size_t kEvents = kViolations * (kFiller + 1);
+  static_assert(kEvents <= eventlog::kJournalCapacity);
+  for (int rep = 0; rep < 5; ++rep) {
+    const std::string dir = uniqueDir("eventlog_concurrent_dumps");
+    eventlog::Options options;
+    options.dump_dir = dir;
+    const ScopedRecorder recorder(options);
+    std::vector<std::unique_ptr<eventlog::Journal>> journals;
+    for (std::size_t i = 0; i < kJournals; ++i) {
+      journals.push_back(
+          std::make_unique<eventlog::Journal>("v" + std::to_string(i)));
+      journals.back()->claim();
+    }
+    parallel::parallelFor(kJournals, [&](std::size_t i) {
+      const eventlog::JournalScope scope(*journals[i]);
+      for (std::size_t v = 0; v < kViolations; ++v) {
+        for (std::size_t k = 0; k < kFiller; ++k)
+          eventlog::record(EventKind::kCustom, "filler");
+        EXPECT_THROW(MFBO_CHECK(false, "concurrent violation"),
+                     ContractViolation);
+      }
+    });
+    const std::vector<std::string> lines = readLines(findDump(dir));
+    ASSERT_EQ(lines.size(), 1 + kJournals * kEvents) << "rep " << rep;
+    const Json header = Json::parse(lines.front());
+    EXPECT_EQ(header.at("format").asString(), "mfbo-flightrec");
+    EXPECT_EQ(header.at("events").asNumber(),
+              static_cast<double>(kJournals * kEvents));
+    std::size_t violations = 0;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      const Json event = Json::parse(lines[i]);
+      // Claimed serially: slot order is journal order.
+      EXPECT_EQ(event.at("session").asString(),
+                "v" + std::to_string((i - 1) / kEvents));
+      if (event.at("kind").asString() == "contract_violation") ++violations;
+    }
+    EXPECT_EQ(violations, kJournals * kViolations) << "rep " << rep;
+  }
+}
+
 TEST(EventlogBasics, ExplicitDumpMatchesJournalJson) {
   const std::string dir = uniqueDir("eventlog_dump");
   const ScopedRecorder recorder;
@@ -419,55 +468,55 @@ TEST(EventlogDeterminism, DumpFileBytesIdenticalAtOneAndFourThreads) {
 }
 
 /// What a deterministic-mode fleet run leaves behind: the journal, the
-/// dump file, every session's result, and the recorder's drop count.
+/// dump file, every session's result and persisted result file, and the
+/// recorder's drop count.
 struct FleetRecord {
   std::string journal;
   std::vector<std::string> dump;
   std::vector<std::string> results;
+  std::vector<std::vector<std::string>> result_files;
   std::uint64_t dropped = 0;
 };
 
-/// Run a 4-session fleet to completion. Serially it is runAll() at one
-/// thread; pooled, every round steps each running session as one
-/// parallelFor task at four threads, so sessions step concurrently on the
-/// pool's workers and the caller.
-FleetRecord recordFleet(bool pooled, const std::string& dump_path) {
+/// Run a 4-session fleet to completion through runAll(), persisting every
+/// step under @p dir: at one thread the rounds run serially; pooled, at
+/// four threads, each round steps its sessions concurrently on the pool's
+/// workers and the caller.
+FleetRecord recordFleet(bool pooled, const std::string& dir) {
   const ScopedThreads threads(pooled ? 4 : 1);
   const ScopedRecorder recorder;
-  service::SessionManager manager;
+  service::SessionManagerOptions options;
+  options.checkpoint_dir = dir + (pooled ? "/pooled" : "/serial");
+  options.checkpoint_every = 1;
+  service::SessionManager manager(options);
   for (std::size_t i = 0; i < 4; ++i) manager.create(fleetSpec(i));
-  if (pooled) {
-    for (;;) {
-      std::vector<service::Session*> running;
-      for (const std::string& id : manager.ids())
-        if (manager.session(id).status() == service::SessionStatus::kRunning)
-          running.push_back(&manager.session(id));
-      if (running.empty()) break;
-      parallel::parallelFor(running.size(),
-                            [&](std::size_t i) { running[i]->step(); });
-    }
-  } else {
-    manager.runAll();
-  }
+  manager.runAll();
   FleetRecord record;
   record.journal = eventlog::journalJson().dump();
   record.dropped = eventlog::stats().dropped;
+  const std::string dump_path = options.checkpoint_dir + "/flightrec.jsonl";
   EXPECT_TRUE(eventlog::dumpFlightRecorder(dump_path.c_str()));
   record.dump = readLines(dump_path);
-  for (const std::string& id : manager.ids())
+  for (const std::string& id : manager.ids()) {
     record.results.push_back(manager.session(id).resultJson().dump());
+    record.result_files.push_back(
+        readLines(options.checkpoint_dir + "/" + id + ".result.json"));
+  }
   return record;
 }
 
 TEST(EventlogDeterminism, PooledSessionStepsJournalLikeSerialRunAll) {
   const std::string dir = uniqueDir("eventlog_pooled");
-  const FleetRecord serial = recordFleet(false, dir + "/serial.jsonl");
-  const FleetRecord pooled = recordFleet(true, dir + "/pooled.jsonl");
+  const FleetRecord serial = recordFleet(false, dir);
+  const FleetRecord pooled = recordFleet(true, dir);
   EXPECT_EQ(serial.dropped, 0u);
   EXPECT_EQ(pooled.dropped, 0u);
   EXPECT_EQ(serial.journal, pooled.journal);
   EXPECT_EQ(serial.dump, pooled.dump);
   EXPECT_EQ(serial.results, pooled.results);
+  EXPECT_EQ(serial.result_files, pooled.result_files);
+  for (const std::vector<std::string>& file : serial.result_files)
+    EXPECT_EQ(file.size(), 1u) << "a persisted result is one line";
   // Every session's narrative is there, in its own journal.
   for (const char* needle :
        {"\"session\":\"s0\"", "\"session\":\"s3\"", "session_step",

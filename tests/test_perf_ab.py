@@ -1,15 +1,23 @@
 """Tests for tools/perf_ab.py, the paired A/B helper for the repository
 benchmark: the run order alternates from pair to pair, wins count strictly
-better pairs in the metric's direction (ties for neither side), and the
-summary reports medians, ratio, wins and the base's spread per end-to-end
-metric. Everything runs in-process on synthetic results — no benchmark
-runs, no git worktree.
+better pairs in the metric's direction (ties for neither side), the
+summary reports medians, ratio, wins, the base's spread and the claim
+verdict per end-to-end metric, and a SIGTERM mid-run leaves no process
+and no worktree behind. Everything but the SIGTERM test runs in-process on
+synthetic results; that one drives the script against a throwaway git
+repository whose benchmark is a sleeping stub.
 """
 
 import math
+import os
 import re
+import shutil
+import signal
 import statistics
+import subprocess
 import sys
+import tempfile
+import time
 import unittest
 from pathlib import Path
 
@@ -59,19 +67,19 @@ class WinCountTest(unittest.TestCase):
 LINE_RE = re.compile(
     r"^(\S+)\s+base\s+(\S+)\s+change\s+(\S+)\s+ratio\s+(\S+)\s+"
     r"wins (\d+)/(\d+) \((\w+) is better\)\s+base spread\s+(\S+)\s+"
-    r"bound (\S+)$")
+    r"bound (\S+)\s+claim (yes|no)$")
 
 
 def parse(line):
     """The fields of one summary line, numbers as floats."""
     match = LINE_RE.match(line)
     assert match, line
-    name, base, change, ratio, wins, n, better, spread, bound = \
+    name, base, change, ratio, wins, n, better, spread, bound, claim = \
         match.groups()
     return {"name": name, "base": float(base), "change": float(change),
             "ratio": float(ratio), "wins": int(wins), "pairs": int(n),
             "better": better, "spread": float(spread),
-            "bound": float(bound)}
+            "bound": float(bound), "claim": claim == "yes"}
 
 
 class SummaryTest(unittest.TestCase):
@@ -120,6 +128,96 @@ class SummaryTest(unittest.TestCase):
                   perf_ab.summarize(pairs, self.END_TO_END)]
         self.assertEqual((job["wins"], job["pairs"]), (0, 1))
         self.assertTrue(math.isnan(job["spread"]))
+
+
+
+class ClaimTest(unittest.TestCase):
+    # Ten base runs with quartiles 2.75 and 8.25: a distance of 5.5.
+    BASE = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+
+    def test_nine_wins_inside_the_quartile_distance_is_no_claim(self):
+        # 9/10 pairs won, but the median moves by 1.0 < 5.5.
+        change = [b - 1.0 for b in self.BASE[:9]] + [11.0]
+        self.assertEqual(perf_ab.change_wins(self.BASE, change, "lower"), 9)
+        self.assertFalse(perf_ab.claim_holds(self.BASE, change, "lower"))
+
+    def test_ten_wins_outside_the_quartile_distance_is_a_claim(self):
+        change = [b - 6.0 for b in self.BASE]
+        self.assertTrue(perf_ab.claim_holds(self.BASE, change, "lower"))
+        higher = [b + 6.0 for b in self.BASE]
+        self.assertTrue(perf_ab.claim_holds(self.BASE, higher, "higher"))
+        # The same moves in the wrong direction claim nothing.
+        self.assertFalse(perf_ab.claim_holds(self.BASE, change, "higher"))
+
+    def test_fewer_than_ten_pairs_is_no_claim(self):
+        base = self.BASE[:9]
+        change = [b - 100.0 for b in base]
+        self.assertFalse(perf_ab.claim_holds(base, change, "lower"))
+
+    def test_summary_prints_the_verdict(self):
+        end_to_end = [{"name": "job_s_p50", "better": "lower",
+                       "bound": 0.25}]
+        pairs = [{"base": metrics(job_s_p50=b),
+                  "change": metrics(job_s_p50=b - 6.0)} for b in self.BASE]
+        self.assertTrue(parse(perf_ab.summarize(pairs, end_to_end)[0])
+                        ["claim"])
+
+
+STUB_RUN = """import os, pathlib, time
+pathlib.Path(os.environ["PERF_AB_STUB_PID"]).write_text(str(os.getpid()))
+time.sleep(120)
+"""
+
+
+@unittest.skipUnless(shutil.which("git"), "needs git")
+class StopTest(unittest.TestCase):
+    def git(self, repo, *args):
+        return subprocess.run(
+            ["git", "-c", "user.name=perf-ab-test",
+             "-c", "user.email=perf-ab-test@localhost",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=repo, check=True, stdout=subprocess.PIPE, text=True).stdout
+
+    def test_sigterm_kills_the_run_and_removes_the_worktree(self):
+        with tempfile.TemporaryDirectory(prefix="perf_ab_test_") as tmp:
+            repo = Path(tmp) / "repo"
+            (repo / "tools").mkdir(parents=True)
+            (repo / "perfbench" / "tools").mkdir(parents=True)
+            shutil.copy(REPO_ROOT / "tools" / "perf_ab.py", repo / "tools")
+            shutil.copy(REPO_ROOT / "perfbench" / "tools" / "spread.py",
+                        repo / "perfbench" / "tools")
+            (repo / "perfbench" / "run.py").write_text(STUB_RUN)
+            (repo / "BENCHMARK.json").write_text(
+                '{"run_seconds": 1, "end_to_end": []}')
+            self.git(repo, "init", "-q")
+            self.git(repo, "add", "-A")
+            self.git(repo, "commit", "-q", "-m", "stub benchmark")
+
+            pid_file = Path(tmp) / "stub.pid"
+            env = dict(os.environ, PERF_AB_STUB_PID=str(pid_file))
+            ab = subprocess.Popen(
+                [sys.executable, str(repo / "tools" / "perf_ab.py"),
+                 "--workload", "stub", "--seeds", "1"],
+                cwd=repo, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+            try:
+                deadline = time.monotonic() + 60
+                while not pid_file.exists() or not pid_file.read_text():
+                    self.assertIsNone(ab.poll(), "perf_ab exited early")
+                    self.assertLess(time.monotonic(), deadline)
+                    time.sleep(0.05)
+                stub_pid = int(pid_file.read_text())
+                ab.send_signal(signal.SIGTERM)
+                self.assertEqual(ab.wait(timeout=60), 128 + signal.SIGTERM)
+            finally:
+                if ab.poll() is None:
+                    ab.kill()
+                    ab.wait()
+
+            with self.assertRaises(ProcessLookupError):
+                os.kill(stub_pid, 0)
+            trees = self.git(repo, "worktree", "list").splitlines()
+            self.assertEqual(len(trees), 1, trees)
 
 
 if __name__ == "__main__":

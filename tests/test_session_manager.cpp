@@ -1,18 +1,24 @@
 // Service-layer battery for SessionManager/Session: round-robin fairness
 // (no session starves another), solo-vs-8-concurrent byte-identity of the
 // --no-timing artifacts at 1 and 4 threads (the per-session span arena and
-// its counters in action), kill-at-every-scheduler-boundary crash recovery
+// its counters in action), the round's fan-out over the pool (one pooled
+// region per round, serial rounds while tracing, failures that leave the
+// rest of the round stepped and persisted, journal slots claimed in
+// creation order), kill-at-every-scheduler-boundary crash recovery
 // through the persisted run logs (torn final lines, failed appends and
 // unreadable recovery files included), completed-run adoption from result
 // documents, and the pause/resume/destroy lifecycle contracts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <sys/resource.h>
 #include <utility>
@@ -21,9 +27,11 @@
 #include "bo/engine.h"
 #include "bo/mfbo.h"
 #include "common/check.h"
+#include "common/eventlog.h"
 #include "common/json.h"
 #include "common/parallel.h"
 #include "common/spans.h"
+#include "common/telemetry.h"
 #include "problems/synthetic.h"
 #include "service/session_manager.h"
 
@@ -302,6 +310,218 @@ TEST(SessionManager, EightConcurrentSessionsMatchSoloByteIdentical) {
     EXPECT_EQ(serial[i], solo[i]) << "session " << i
                                   << " diverged among 8 concurrent at t=1";
   }
+}
+
+// --- the round's fan-out --------------------------------------------------
+
+/// Running sessions of @p manager.
+std::size_t runningCount(const SessionManager& manager) {
+  std::size_t running = 0;
+  for (const std::string& id : manager.ids())
+    if (manager.find(id)->status() == SessionStatus::kRunning) ++running;
+  return running;
+}
+
+TEST(SessionManager, ARoundOfSeveralSessionsIsOnePooledRegion) {
+  for (const std::size_t n_threads : {std::size_t{1}, std::size_t{4}}) {
+    const ScopedThreads threads(n_threads);
+    SessionManager manager;
+    for (auto& spec : eightSpecs()) manager.create(std::move(spec));
+    // Each running session is one task of the round's region, and the
+    // regions nested in its step run inline on the task's thread.
+    std::size_t fanned_out = 0;
+    for (;;) {
+      const std::size_t running = runningCount(manager);
+      const std::uint64_t before = parallel::poolStats().pooled_regions;
+      if (manager.stepRound() == 0) break;
+      if (running < 2) continue;
+      ++fanned_out;
+      ASSERT_EQ(parallel::poolStats().pooled_regions - before,
+                n_threads > 1 ? 1u : 0u)
+          << "round " << manager.roundsCompleted() << " at " << n_threads
+          << " threads";
+    }
+    EXPECT_GT(fanned_out, 4u);
+  }
+}
+
+TEST(SessionManager, ALoneSessionKeepsThePoolForItsOwnRegions) {
+  const ScopedThreads threads(4);
+  SessionManager manager;
+  manager.create(makeSpec("lone", 17, 2));
+  const std::uint64_t before = parallel::poolStats().pooled_regions;
+  manager.runAll();
+  // Its batch evaluations and multistart searches reach the pool, which a
+  // one-task region would have forced inline.
+  EXPECT_GT(parallel::poolStats().pooled_regions - before, 0u);
+}
+
+TEST(SessionManager, TracedRoundsStepSeriallyInCreationOrder) {
+  // Trace events go to one process-wide sink, so a round steps on the
+  // calling thread while one is installed: the events equal those of a
+  // hand-written creation-order round at any thread count.
+  const auto traced = [](std::size_t n_threads, bool by_hand) {
+    const ScopedThreads threads(n_threads);
+    telemetry::CollectingTraceSink sink;
+    const telemetry::ScopedTraceSink install(&sink);
+    SessionManager manager;
+    for (std::size_t i = 0; i < 4; ++i)
+      manager.create(makeSpec("t" + std::to_string(i), 300 + i, 1 + i % 2));
+    if (by_hand) {
+      for (bool any = true; any;) {
+        any = false;
+        for (const std::string& id : manager.ids()) {
+          Session& session = manager.session(id);
+          if (session.status() != SessionStatus::kRunning) continue;
+          session.step();
+          any = true;
+        }
+      }
+    } else {
+      manager.runAll();
+    }
+    std::string events;
+    for (const Json& event : sink.events) events += event.dump() + "\n";
+    return events;
+  };
+  const std::string reference = traced(1, /*by_hand=*/true);
+  EXPECT_NE(reference.find("\"type\":\"iteration\""), std::string::npos);
+  EXPECT_EQ(traced(1, false), reference);
+  EXPECT_EQ(traced(4, false), reference);
+}
+
+/// ConstrainedQuadraticProblem that throws std::runtime_error(@p label)
+/// from its @p fail_at-th evaluation on.
+class FailingProblem final : public bo::Problem {
+ public:
+  FailingProblem(std::string label, std::size_t fail_at)
+      : label_(std::move(label)), fail_at_(fail_at) {}
+  std::string name() const override { return inner_.name(); }
+  std::size_t dim() const override { return inner_.dim(); }
+  std::size_t numConstraints() const override {
+    return inner_.numConstraints();
+  }
+  bo::Box bounds() const override { return inner_.bounds(); }
+  double costRatio() const override { return inner_.costRatio(); }
+  bo::Evaluation evaluate(const bo::Vector& x,
+                          bo::Fidelity fidelity) override {
+    if (calls_.fetch_add(1) + 1 >= fail_at_) throw std::runtime_error(label_);
+    return inner_.evaluate(x, fidelity);
+  }
+
+ private:
+  problems::ConstrainedQuadraticProblem inner_{2};
+  std::string label_;
+  std::size_t fail_at_;
+  std::atomic<std::size_t> calls_{0};
+};
+
+/// Every file in @p dir, by name.
+std::map<std::string, std::string> dirBytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    files[entry.path().filename().string()] = readFile(entry.path());
+  return files;
+}
+
+/// The "steps" count of the last line of the run log at @p path.
+std::size_t lastLoggedSteps(const std::string& path) {
+  const std::string log = readFile(path);
+  const std::size_t line = log.rfind('\n', log.size() - 2) + 1;
+  return static_cast<std::size_t>(
+      Json::parse(log.substr(line, log.find(' ', line) - line))
+          .at("steps")
+          .asNumber());
+}
+
+TEST(SessionManager, FailingSessionsLeaveTheRestOfTheRoundSteppedAndPersisted) {
+  // s1 and s3 throw from the same step (same seed, same evaluation);
+  // s0, s2 and s4 must still be stepped and persisted in that round, and
+  // the lowest-indexed failure is the one rethrown.
+  const auto run = [](std::size_t n_threads) {
+    const ScopedThreads threads(n_threads);
+    SessionManagerOptions options;
+    options.checkpoint_dir = uniqueDir("failing_t" + std::to_string(n_threads));
+    SessionManager manager(options);
+    for (std::size_t i = 0; i < 5; ++i) {
+      const std::string id = "s" + std::to_string(i);
+      SessionSpec spec = makeSpec(id, i % 2 == 1 ? 141 : 150 + i, 1, 6.0);
+      if (i % 2 == 1)
+        spec.problem = [id] {
+          return std::make_unique<FailingProblem>(id, /*fail_at=*/8);
+        };
+      manager.create(std::move(spec));
+    }
+    std::string error;
+    std::vector<std::size_t> before;
+    while (error.empty()) {
+      before.clear();
+      for (const std::string& id : manager.ids())
+        before.push_back(manager.session(id).steps());
+      const std::uint64_t rounds = manager.roundsCompleted();
+      try {
+        EXPECT_EQ(manager.stepRound(), 5u);
+      } catch (const std::runtime_error& e) {
+        error = e.what();
+        EXPECT_EQ(manager.roundsCompleted(), rounds)
+            << "a round that threw must not count";
+      }
+    }
+    EXPECT_EQ(error, "s1") << "the lowest-indexed failure is rethrown";
+    for (std::size_t i = 0; i < 5; ++i) {
+      const std::string id = "s" + std::to_string(i);
+      const Session& session = manager.session(id);
+      const std::string log = options.checkpoint_dir + "/" + id + ".ckpt.json";
+      if (i % 2 == 1) {
+        EXPECT_EQ(lastLoggedSteps(log), before[i])
+            << id << " failed, so this round must not persist it";
+        continue;
+      }
+      EXPECT_EQ(session.steps(), before[i] + 1) << id << " was not stepped";
+      if (session.done())
+        EXPECT_TRUE(
+            fileExists(options.checkpoint_dir + "/" + id + ".result.json"));
+      else
+        EXPECT_EQ(lastLoggedSteps(log), session.steps())
+            << id << " was stepped but not persisted";
+    }
+    // The failed sessions sit out; the rest run to completion.
+    manager.pause("s1");
+    manager.pause("s3");
+    manager.runAll();
+    for (const std::string id : {"s0", "s2", "s4"})
+      EXPECT_TRUE(manager.session(id).done()) << id;
+    return dirBytes(options.checkpoint_dir);
+  };
+  const std::map<std::string, std::string> serial = run(1);
+  EXPECT_EQ(serial.size(), 5u);
+  EXPECT_EQ(run(4), serial);
+}
+
+TEST(SessionManager, RecorderEnabledMidRunDumpsTheSameBytesAtAnyThreadCount) {
+  // The recorder comes on after the sessions exist, so no journal holds a
+  // slot until the first round. stepRound claims them serially, in
+  // creation order; claimed by the concurrent steps' first records
+  // instead, the dump order would be a thread race.
+  const std::string dir = uniqueDir("recorder_mid_run");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/flightrec.jsonl";
+  const auto dump = [&](std::size_t n_threads) {
+    const ScopedThreads threads(n_threads);
+    SessionManager manager;
+    for (std::size_t i = 0; i < 16; ++i)
+      manager.create(makeSpec("m" + std::to_string(i), 500 + i));
+    eventlog::enable();
+    manager.runAll();
+    const bool ok = eventlog::dumpFlightRecorder(path.c_str());
+    eventlog::disable();
+    EXPECT_TRUE(ok);
+    return readFile(path);
+  };
+  const std::string reference = dump(1);
+  EXPECT_NE(reference.find("\"session\":\"m15\""), std::string::npos);
+  for (int rep = 0; rep < 50; ++rep)
+    ASSERT_EQ(dump(4), reference) << "repetition " << rep;
 }
 
 // --- crash recovery ------------------------------------------------------

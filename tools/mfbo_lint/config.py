@@ -257,6 +257,21 @@ class Config:
             "every engine entry must run under the session's journal or "
             "its transitions and fidelity decisions journal nothing",
         ),
+        # The round's fan-out and the serial slot claim that keeps it
+        # deterministic.
+        Coupling(
+            "src/service/session_manager.cpp",
+            "parallelFor",
+            "stepRound must step a round's running sessions as pool tasks, "
+            "or a fleet runs on one core",
+        ),
+        Coupling(
+            "src/service/session_manager.cpp",
+            "claim",
+            "stepRound must claim journal slots serially before the "
+            "fan-out, or a recorder enabled mid-run orders the dump by "
+            "thread race",
+        ),
     )
 
     excludes: tuple[str, ...] = tuple(DEFAULT_EXCLUDES)
