@@ -108,8 +108,8 @@ bo::Evaluation evaluateAmplifier(const bo::Vector& x, bo::Fidelity fidelity) {
   const auto h = nodeHarmonics(tr, deck.out, kF0, 3, 10.0 / kF0);
   const double gain = h[1].magnitude / kAmpl;
   const double v_out_dc = h[0].magnitude;
-  const double i_supply = -sim.vsourceCurrent(tr.solution.back(),
-                                              deck.vdd_index);
+  const double i_supply =
+      -tr.value(tr.time.size() - 1, sim.vsourceBranch(deck.vdd_index));
   e.objective = -20.0 * std::log10(std::max(gain, 1e-6));
   e.constraints = {std::abs(v_out_dc - kVdd / 2.0) - 0.6,
                    (i_supply - 2e-3) * 1e3};

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/spans.h"
 #include "opt/de.h"
 
@@ -19,23 +20,33 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
   CostTracker tracker(problem.costRatio());
   std::vector<HistoryEntry> history;
 
-  auto evaluate = [&](const Vector& x) {
+  // Simulating touches no run state (Problem::evaluate is reentrant by
+  // contract), so it can run as a pool task; recording is serial.
+  auto simulate = [&](const Vector& x) {
     const spans::ScopedSpan sim_span("simulate_high");
     spans::addCounter("sims_high");
-    Evaluation eval = problem.evaluate(x, Fidelity::kHigh);
+    return problem.evaluate(x, Fidelity::kHigh);
+  };
+  auto record = [&](const Vector& x, const Evaluation& eval) {
     tracker.charge(Fidelity::kHigh);
     history.push_back({x, eval, Fidelity::kHigh, tracker.cost()});
-    return history.back().eval;
   };
   auto budget_left = [&] {
     return tracker.cost() + 1.0 <= options_.max_sims + 1e-9;
   };
 
+  // The initial population is one pooled batch of as many members as the
+  // budget covers (every simulation costs 1), recorded in index order.
   const std::size_t np = std::max<std::size_t>(options_.population, 4);
   std::vector<Vector> pop = linalg::latinHypercube(np, box, rng);
-  std::vector<Evaluation> evals(np);
-  for (std::size_t i = 0; i < np && budget_left(); ++i)
-    evals[i] = evaluate(pop[i]);
+  std::size_t n_init = 0;
+  while (n_init < np &&
+         static_cast<double>(n_init) + 1.0 <= options_.max_sims + 1e-9)
+    ++n_init;
+  std::vector<Evaluation> evals = parallel::parallelMap(
+      n_init, [&](std::size_t i) { return simulate(pop[i]); });
+  evals.resize(np);
+  for (std::size_t i = 0; i < n_init; ++i) record(pop[i], evals[i]);
 
   std::size_t generation = 0;
   while (budget_left()) {
@@ -47,7 +58,8 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
                                      pop[picks[2]], options_.differential,
                                      options_.crossover, rng);
       trial = box.clamp(std::move(trial));
-      const Evaluation trial_eval = evaluate(trial);
+      const Evaluation trial_eval = simulate(trial);
+      record(trial, trial_eval);
       // Ties go to the trial, so a plateau keeps the population moving.
       if (!evals[i].betterThan(trial_eval)) {
         pop[i] = std::move(trial);

@@ -256,51 +256,51 @@ SynthesisResult Engine::takeResult() {
   return std::move(result_);
 }
 
-Evaluation Engine::simulate(const Vector& u, Fidelity f) {
-  const bool hi = f == Fidelity::kHigh;
-  const spans::ScopedSpan sim_span(hi ? "simulate_high" : "simulate_low");
-  spans::addCounter(hi ? "sims_high" : "sims_low");
-  return problem_->evaluate(real_box_.fromUnit(u), f);
-}
-
-std::size_t Engine::recordEvaluation(const Vector& u, Fidelity f,
-                                     Evaluation eval) {
-  tracker_.charge(f);
-  history_.push_back({real_box_.fromUnit(u), eval, f, tracker_.cost()});
-  (f == Fidelity::kHigh ? high_ : low_).add(u, std::move(eval));
-  return history_.size() - 1;
-}
-
-std::size_t Engine::evaluateRaw(const Vector& u, Fidelity f) {
-  return recordEvaluation(u, f,
-                          replaying() ? serveLogged(u, f) : simulate(u, f));
+std::size_t Engine::evaluateBatch(const std::vector<BatchInput>& batch) {
+  // A task touches no engine state and Problem::evaluate is reentrant by
+  // contract; its span and counter merge into the caller's innermost span
+  // at region end.
+  std::vector<Evaluation> evals(batch.size());
+  if (replaying()) {
+    // The log holds the batch in slot order, the order it was recorded in.
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      evals[i] = serveLogged(*batch[i].u, batch[i].f);
+  } else {
+    parallel::parallelFor(batch.size(), [&](std::size_t i) {
+      const bool hi = batch[i].f == Fidelity::kHigh;
+      const spans::ScopedSpan sim_span(hi ? "simulate_high" : "simulate_low");
+      spans::addCounter(hi ? "sims_high" : "sims_low");
+      evals[i] = problem_->evaluate(real_box_.fromUnit(*batch[i].u),
+                                    batch[i].f);
+    });
+  }
+  const std::size_t first = history_.size();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Vector& u = *batch[i].u;
+    const Fidelity f = batch[i].f;
+    tracker_.charge(f);
+    history_.push_back({real_box_.fromUnit(u), evals[i], f, tracker_.cost()});
+    (f == Fidelity::kHigh ? high_ : low_).add(u, std::move(evals[i]));
+  }
+  return first;
 }
 
 void Engine::handleAwaitResults() {
-  // The batch's simulations run as pool tasks: each is an independent pure
-  // evaluation whose input was fixed at propose time, written into a
-  // slot-indexed output. The stateful bookkeeping — cost meter, history,
-  // archives — then replays serially in slot order, i.e. in exactly the
-  // order the sequential loop produced, so results are byte-identical at
-  // any thread count. This is also the engine's cooperative-yield point
-  // for the session layer: a q-slot batch occupies the pool for one region
-  // and then returns to the scheduler.
-  std::vector<Evaluation> evals(pending_.size());
-  if (replaying()) {
-    // The log holds the batch in slot order, the order it was recorded in.
-    for (std::size_t i = 0; i < pending_.size(); ++i)
-      evals[i] = serveLogged(pending_[i].x, pending_[i].fidelity);
-  } else {
-    parallel::parallelFor(pending_.size(), [&](std::size_t i) {
-      evals[i] = simulate(pending_[i].x, pending_[i].fidelity);
-    });
-  }
+  // A q-slot batch occupies the pool for one region and then returns to
+  // the scheduler: this is the engine's cooperative-yield point for the
+  // session layer.
+  std::vector<BatchInput> batch;
+  batch.reserve(pending_.size());
+  for (const ProposedSlot& slot : pending_)
+    batch.push_back({&slot.x, slot.fidelity});
+  std::size_t low_row = low_.size();
+  std::size_t high_row = high_.size();
+  const std::size_t first = evaluateBatch(batch);
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     ProposedSlot& slot = pending_[i];
-    slot.history_index =
-        recordEvaluation(slot.x, slot.fidelity, std::move(evals[i]));
+    slot.history_index = first + i;
     slot.dataset_index =
-        (slot.fidelity == Fidelity::kHigh ? high_ : low_).size() - 1;
+        slot.fidelity == Fidelity::kHigh ? high_row++ : low_row++;
   }
   transition(EngineState::kObserve);
 }
@@ -566,14 +566,24 @@ void MfboEngine::applyLiar(const ProposedSlot& slot) {
 }
 
 void MfboEngine::handleInit() {
+  // Step 1 of Algorithm 1: initial designs at both fidelities, evaluated as
+  // one batch — every low, then every high, each in LHS order. They are
+  // drawn from a copy of the RNG, which is committed (with the records and
+  // run_start) only once every evaluation has returned: an Init that throws
+  // leaves the engine untouched, so its retry runs like an uninterrupted
+  // run.
+  Rng rng = rng_;
+  const std::vector<Vector> low =
+      linalg::latinHypercube(options_.n_init_low, unit_, rng);
+  const std::vector<Vector> high =
+      linalg::latinHypercube(options_.n_init_high, unit_, rng);
+  std::vector<BatchInput> batch;
+  batch.reserve(low.size() + high.size());
+  for (const Vector& u : low) batch.push_back({&u, Fidelity::kLow});
+  for (const Vector& u : high) batch.push_back({&u, Fidelity::kHigh});
+  evaluateBatch(batch);
+  rng_ = std::move(rng);
   if (!replaying()) traceRunStart("mfbo", *problem_, seed_, options_.budget);
-  // Step 1 of Algorithm 1: initial designs at both fidelities.
-  for (const Vector& u :
-       linalg::latinHypercube(options_.n_init_low, unit_, rng_))
-    evaluateRaw(u, Fidelity::kLow);
-  for (const Vector& u :
-       linalg::latinHypercube(options_.n_init_high, unit_, rng_))
-    evaluateRaw(u, Fidelity::kHigh);
   buildModels();
   transition(EngineState::kFitSurrogate);
 }
@@ -843,12 +853,20 @@ std::vector<gp::Prediction> WeiboEngine::constraintPredictions(
 }
 
 void WeiboEngine::handleInit() {
-  if (!replaying())
-    traceRunStart("weibo", *problem_, seed_, options_.max_sims);
+  // One batch drawn from a copy of the RNG, committed once every
+  // evaluation has returned (see MfboEngine::handleInit).
   const std::size_t n_init = std::min<std::size_t>(
       options_.n_init, static_cast<std::size_t>(options_.max_sims));
-  for (const Vector& u : linalg::latinHypercube(n_init, unit_, rng_))
-    evaluateRaw(u, Fidelity::kHigh);
+  Rng rng = rng_;
+  const std::vector<Vector> designs =
+      linalg::latinHypercube(n_init, unit_, rng);
+  std::vector<BatchInput> batch;
+  batch.reserve(designs.size());
+  for (const Vector& u : designs) batch.push_back({&u, Fidelity::kHigh});
+  evaluateBatch(batch);
+  rng_ = std::move(rng);
+  if (!replaying())
+    traceRunStart("weibo", *problem_, seed_, options_.max_sims);
   buildModels();
   transition(EngineState::kFitSurrogate);
 }

@@ -198,18 +198,19 @@ class Engine {
   void handleAwaitResults();
   void handleObserve();
 
-  /// The stateless half of an evaluation: simulator span + sim counter +
-  /// Problem::evaluate. Safe to run as a pool task — it touches no engine
-  /// state, and Problem::evaluate is reentrant by contract — which is how
-  /// handleAwaitResults fans a batch out over the shared pool.
-  Evaluation simulate(const Vector& u, Fidelity f);
-  /// The stateful half: cost charge, history row, archive append. Serial
-  /// only; called in slot order so the records match the sequential loop.
-  /// Returns the history row index.
-  std::size_t recordEvaluation(const Vector& u, Fidelity f, Evaluation eval);
-  /// simulate (or, during replay, the logged evaluation) + recordEvaluation
-  /// in one call — the serial evaluation path used by the init designs.
-  std::size_t evaluateRaw(const Vector& u, Fidelity f);
+  /// One evaluation of a batch: a unit-cube input and its fidelity.
+  struct BatchInput {
+    const Vector* u;
+    Fidelity f;
+  };
+  /// The engine's one evaluation path, taken by Init and AwaitResults.
+  /// Simulates @p batch as one pool region, each simulation a task writing
+  /// its own slot (or, while replaying, serves it from the run log in slot
+  /// order), then records every evaluation serially in slot order — the
+  /// order the sequential loop produced, so results are byte-identical at
+  /// any thread count. Records nothing when an evaluation throws. Returns
+  /// the history row of batch[0]; batch[i] lands in row + i.
+  std::size_t evaluateBatch(const std::vector<BatchInput>& batch);
 
   /// Tail of every FitSurrogate handler: retire the completed batch and
   /// advance on the remaining budget.

@@ -8,6 +8,7 @@
 
 #include "bo/acquisition.h"
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/spans.h"
 #include "opt/de.h"
 
@@ -43,21 +44,29 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
   std::vector<HistoryEntry> history;
   Dataset data;
 
-  auto evaluate = [&](const Vector& u) {
+  // Simulating touches no run state (Problem::evaluate is reentrant by
+  // contract), so it can run as a pool task; recording is serial.
+  auto simulate = [&](const Vector& u) {
     const spans::ScopedSpan sim_span("simulate_high");
     spans::addCounter("sims_high");
-    const Vector x_real = real_box.fromUnit(u);
-    Evaluation eval = problem.evaluate(x_real, Fidelity::kHigh);
+    return problem.evaluate(real_box.fromUnit(u), Fidelity::kHigh);
+  };
+  auto record = [&](const Vector& u, Evaluation eval) {
     tracker.charge(Fidelity::kHigh);
-    history.push_back({x_real, eval, Fidelity::kHigh, tracker.cost()});
+    history.push_back(
+        {real_box.fromUnit(u), eval, Fidelity::kHigh, tracker.cost()});
     data.add(u, std::move(eval));
   };
 
+  // The initial design is one pooled batch, recorded in LHS order.
   const std::size_t n_init =
       std::min<std::size_t>(options_.n_init,
                             static_cast<std::size_t>(options_.max_sims));
-  for (const Vector& u : linalg::latinHypercube(n_init, unit, rng))
-    evaluate(u);
+  const std::vector<Vector> init = linalg::latinHypercube(n_init, unit, rng);
+  std::vector<Evaluation> init_evals = parallel::parallelMap(
+      init.size(), [&](std::size_t i) { return simulate(init[i]); });
+  for (std::size_t i = 0; i < init.size(); ++i)
+    record(init[i], std::move(init_evals[i]));
 
   std::vector<gp::GpRegressor> models;
   models.reserve(1 + nc);
@@ -132,7 +141,8 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
 
     spans::addCounter("children_screened", children.size());
     phase_span.reset();
-    evaluate(dedupeCandidate(std::move(best_child), data, unit, rng));
+    const Vector u = dedupeCandidate(std::move(best_child), data, unit, rng);
+    record(u, simulate(u));
 
     const bool retrain = options_.retrain_every <= 1 ||
                          iteration % options_.retrain_every == 0;

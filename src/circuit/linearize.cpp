@@ -32,4 +32,9 @@ MosfetSmallSignal mosfetSmallSignal(const Mosfet& m, double vd, double vg,
   return out;
 }
 
+double mosfetDrainCurrent(const Mosfet& m, double vd, double vg, double vs) {
+  const MosfetSmallSignal ss = mosfetSmallSignal(m, vd, vg, vs);
+  return ss.swapped ? -ss.i_deff : ss.i_deff;
+}
+
 }  // namespace mfbo::circuit

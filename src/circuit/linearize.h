@@ -25,4 +25,8 @@ struct MosfetSmallSignal {
 MosfetSmallSignal mosfetSmallSignal(const Mosfet& m, double vd, double vg,
                                     double vs);
 
+/// Current into @p m's netlist drain terminal at terminal voltages
+/// (vd, vg, vs).
+double mosfetDrainCurrent(const Mosfet& m, double vd, double vg, double vs);
+
 }  // namespace mfbo::circuit

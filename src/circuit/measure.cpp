@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
+#include "circuit/linearize.h"
 #include "common/check.h"
 
 namespace mfbo::circuit {
@@ -33,13 +35,13 @@ double averageSourcePower(const Simulator& sim, const TransientResult& result,
              vsrc_index, " out of range [0,",
              sim.netlist().vsources().size(), ")");
   const VSource& src = sim.netlist().vsources()[vsrc_index];
+  const std::size_t branch = sim.vsourceBranch(vsrc_index);
   return timeAverage(result, t_start, [&](std::size_t k) {
     // SPICE convention: branch current flows into the + terminal, so the
     // power delivered to the circuit is −v·i.
     const double v =
         result.nodeVoltage(k, src.np) - result.nodeVoltage(k, src.nn);
-    const double i = sim.vsourceCurrent(result.solution[k], vsrc_index);
-    return -v * i;
+    return -v * result.value(k, branch);
   });
 }
 
@@ -49,20 +51,24 @@ CurrentStats mosfetCurrentStats(const Simulator& sim,
   MFBO_CHECK(mos_index < sim.netlist().mosfets().size(), "mosfet index ",
              mos_index, " out of range [0,", sim.netlist().mosfets().size(),
              ")");
+  const Mosfet& m = sim.netlist().mosfets()[mos_index];
   const std::size_t start = windowStart(result, t_start);
-  if (start >= result.solution.size())
+  if (start >= result.time.size())
     throw std::invalid_argument("mosfetCurrentStats: empty window");
+  const auto current = [&](std::size_t k) {
+    return mosfetDrainCurrent(m, result.nodeVoltage(k, m.d),
+                              result.nodeVoltage(k, m.g),
+                              result.nodeVoltage(k, m.s));
+  };
   CurrentStats stats;
   stats.min = std::numeric_limits<double>::max();
   stats.max = std::numeric_limits<double>::lowest();
-  for (std::size_t k = start; k < result.solution.size(); ++k) {
-    const double i = sim.mosfetCurrent(result.solution[k], mos_index);
+  for (std::size_t k = start; k < result.time.size(); ++k) {
+    const double i = current(k);
     stats.min = std::min(stats.min, i);
     stats.max = std::max(stats.max, i);
   }
-  stats.avg = timeAverage(result, t_start, [&](std::size_t k) {
-    return sim.mosfetCurrent(result.solution[k], mos_index);
-  });
+  stats.avg = timeAverage(result, t_start, current);
   return stats;
 }
 
@@ -76,12 +82,11 @@ double fundamentalLoadPower(const TransientResult& result, NodeId node,
 std::vector<Harmonic> nodeHarmonics(const TransientResult& result, NodeId node,
                                     double f0, std::size_t n_harmonics,
                                     double t_start) {
-  MFBO_CHECK(!result.time.empty() && !result.solution.empty(),
-             "empty transient result");
+  MFBO_CHECK(!result.time.empty(), "empty transient result");
   const std::size_t start = windowStart(result, t_start);
   std::vector<double> samples;
-  samples.reserve(result.solution.size() - start);
-  for (std::size_t k = start; k < result.solution.size(); ++k)
+  samples.reserve(result.time.size() - start);
+  for (std::size_t k = start; k < result.time.size(); ++k)
     samples.push_back(result.nodeVoltage(k, node));
   const double dt = result.time.size() > 1
                         ? result.time[1] - result.time[0]

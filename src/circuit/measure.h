@@ -21,11 +21,13 @@ double timeAverage(const TransientResult& result, double t_start,
 
 /// Average power DELIVERED by voltage source @p vsrc_index over the window
 /// (positive when the source supplies energy): avg(−v·i) with the SPICE
-/// current sign convention.
+/// current sign convention. Reads the source's terminal voltages and its
+/// branch current (Simulator::vsourceBranch), which must be recorded.
 double averageSourcePower(const Simulator& sim, const TransientResult& result,
                           std::size_t vsrc_index, double t_start);
 
-/// min / average / max of a device current over the window.
+/// min / average / max of a device current over the window; the device's
+/// terminal voltages must be recorded.
 struct CurrentStats {
   double min = 0.0;
   double avg = 0.0;

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "circuit/linearize.h"
 #include "common/check.h"
+#include "common/spans.h"
 
 namespace mfbo::circuit {
 
@@ -72,7 +75,23 @@ void addBranch(Matrix& g, std::size_t br, NodeId np, NodeId nn) {
   }
 }
 
+/// Append the recorded unknowns of @p x at time @p t.
+void record(TransientResult& result, double t, const Vector& x) {
+  result.time.push_back(t);
+  for (const std::size_t u : result.unknowns) result.values.push_back(x[u]);
+}
+
 }  // namespace
+
+double TransientResult::value(std::size_t k, std::size_t unknown) const {
+  const auto it = std::find(unknowns.begin(), unknowns.end(), unknown);
+  MFBO_CHECK(it != unknowns.end(), "unknown ", unknown,
+             " was not recorded by this transient");
+  MFBO_CHECK(k < time.size(), "step ", k, " out of range [0,", time.size(),
+             ")");
+  return values[k * unknowns.size() +
+                static_cast<std::size_t>(it - unknowns.begin())];
+}
 
 Simulator::Simulator(const Netlist& netlist)
     : netlist_(netlist),
@@ -82,9 +101,33 @@ Simulator::Simulator(const Netlist& netlist)
       vsource_offset_(n_nodes_),
       inductor_offset_(n_nodes_ + netlist.vsources().size()),
       vcvs_offset_(inductor_offset_ + netlist.inductors().size()),
-      cap_current_(netlist.capacitors().size(), 0.0) {
+      cap_current_(netlist.capacitors().size(), 0.0),
+      lin_(dim(), dim()),
+      rhs_base_(dim()),
+      sys_(dim(), dim()),
+      rhs_(dim()),
+      x_new_(dim()),
+      trial_(dim()) {
   if (n_nodes_ == 0)
     throw std::invalid_argument("Simulator: netlist has no nodes");
+}
+
+void Simulator::beginAnalysis() {
+  lin_valid_ = false;
+  counts_ = Counts{};
+}
+
+void Simulator::endAnalysis(bool converged) {
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"circuit.transient_steps", counts_.transient_steps},
+      {"circuit.newton_iterations", counts_.newton_iterations},
+      {"circuit.step_subdivisions", counts_.step_subdivisions},
+      {"circuit.dc_gmin_stepping", counts_.dc_gmin_stepping},
+      {"circuit.dc_source_stepping", counts_.dc_source_stepping},
+      {"circuit.nonconverged", converged ? 0u : 1u},
+  };
+  for (const auto& [name, n] : counts)
+    if (n > 0) spans::addCounter(name, n);
 }
 
 void Simulator::stampLinear(Matrix& g, Matrix* reactive, double dt,
@@ -182,16 +225,23 @@ void Simulator::stampNonlinear(Matrix& g, Vector* rhs, const Vector& x) const {
   }
 }
 
-void Simulator::assemble(Matrix& g, Vector& rhs, const Vector& x, double t,
-                         double dt, const Vector* prev,
-                         double source_scale) const {
-  MFBO_DCHECK(x.size() == dim(), "state size ", x.size(), " != ", dim());
+const Matrix& Simulator::linearStamps(double dt) {
+  if (!lin_valid_ || lin_dt_ != dt || lin_gmin_ != extra_gmin_) {
+    std::fill_n(lin_.data(), dim() * dim(), 0.0);
+    stampLinear(lin_, dt > 0.0 ? &lin_ : nullptr, dt, 0.0);
+    lin_dt_ = dt;
+    lin_gmin_ = extra_gmin_;
+    lin_valid_ = true;
+  }
+  return lin_;
+}
+
+void Simulator::buildRhsBase(double t, double dt, const Vector* prev,
+                             double source_scale) {
   MFBO_DCHECK(!prev || prev->size() == dim(), "prev-state size mismatch");
-  const std::size_t n = dim();
-  g = Matrix(n, n);
-  rhs = Vector(n);
+  Vector& rhs = rhs_base_;
+  std::fill(rhs.begin(), rhs.end(), 0.0);
   const bool transient = dt > 0.0;
-  stampLinear(g, transient ? &g : nullptr, dt, 0.0);
 
   if (transient) {
     // i_{n+1} = geq·(v_{n+1} − v_n) − i_n  ⇒ Norton J = geq·v_n + i_n.
@@ -228,34 +278,38 @@ void Simulator::assemble(Matrix& g, Vector& rhs, const Vector& x, double t,
       rhs[br] = -v_prev - zeq * i_prev;
     }
   }
-
-  stampNonlinear(g, &rhs, x);
 }
 
 bool Simulator::newtonSolve(Vector& x, double t, double dt, const Vector* prev,
                             double source_scale) {
   MFBO_DCHECK(x.size() == dim(), "state size ", x.size(), " != ", dim());
-  Matrix g;
-  Vector rhs;
+  const Matrix& lin = linearStamps(dt);
+  buildRhsBase(t, dt, prev, source_scale);
   for (std::size_t iter = 0; iter < kMaxNewtonIterations; ++iter) {
-    assemble(g, rhs, x, t, dt, prev, source_scale);
-    Vector x_new;
+    ++counts_.newton_iterations;
+    // Linear stamps, then the history and source rhs, then the nonlinear
+    // stamps on top: every entry sums its terms in the same order as a
+    // system assembled from scratch.
+    sys_ = lin;
+    rhs_ = rhs_base_;
+    stampNonlinear(sys_, &rhs_, x);
     try {
-      x_new = linalg::luSolve(std::move(g), rhs);
+      lu_.refactor(sys_);
     } catch (const std::runtime_error&) {
       return false;
     }
-    if (!x_new.allFinite()) return false;
+    lu_.solveInto(rhs_, x_new_);
+    if (!x_new_.allFinite()) return false;
 
     // Damped update: clamp the largest node-voltage change.
     double max_dv = 0.0;
     for (std::size_t i = 0; i < n_nodes_; ++i)
-      max_dv = std::max(max_dv, std::abs(x_new[i] - x[i]));
+      max_dv = std::max(max_dv, std::abs(x_new_[i] - x[i]));
     const double scale =
         max_dv > kMaxStepVoltage ? kMaxStepVoltage / max_dv : 1.0;
     bool converged = true;
     for (std::size_t i = 0; i < dim(); ++i) {
-      const double dx = scale * (x_new[i] - x[i]);
+      const double dx = scale * (x_new_[i] - x[i]);
       x[i] += dx;
       if (i < n_nodes_)
         x[i] = std::clamp(x[i], -kVClamp, kVClamp);
@@ -271,6 +325,15 @@ DcResult Simulator::dcOperatingPoint(const Vector* initial_guess) {
   MFBO_CHECK(!initial_guess || initial_guess->size() == dim(),
              "initial guess size ", initial_guess ? initial_guess->size() : 0,
              " != system dimension ", dim());
+  beginAnalysis();
+  DcResult result = dcSolve(initial_guess);
+  endAnalysis(result.converged);
+  return result;
+}
+
+DcResult Simulator::dcSolve(const Vector* initial_guess) {
+  MFBO_DCHECK(!initial_guess || initial_guess->size() == dim(),
+              "initial guess size mismatch");
   DcResult result;
   extra_gmin_ = 0.0;
 
@@ -284,6 +347,7 @@ DcResult Simulator::dcOperatingPoint(const Vector* initial_guess) {
 
   // 2. Gmin stepping: solve with a strong conductance to ground everywhere,
   // then relax it decade by decade, warm-starting each level.
+  ++counts_.dc_gmin_stepping;
   x = Vector(dim());
   bool gmin_ok = true;
   for (double gmin : {1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 0.0}) {
@@ -301,6 +365,7 @@ DcResult Simulator::dcOperatingPoint(const Vector* initial_guess) {
   }
 
   // 3. Source stepping: ramp all independent sources up from zero.
+  ++counts_.dc_source_stepping;
   x = Vector(dim());
   for (std::size_t s = 1; s <= kSourceSteps; ++s) {
     const double scale =
@@ -315,55 +380,69 @@ DcResult Simulator::dcOperatingPoint(const Vector* initial_guess) {
   return result;
 }
 
-TransientResult Simulator::transient(double t_stop, double dt) {
+bool Simulator::advance(Vector& state, double t_from, double dt, int depth) {
+  trial_ = state;
+  if (newtonSolve(trial_, t_from + dt, dt, &state, 1.0)) {
+    const auto& caps = netlist_.capacitors();
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+      const Capacitor& c = caps[i];
+      const double geq = 2.0 * c.c / dt;
+      const double dv = (nodeV(trial_, c.np) - nodeV(trial_, c.nn)) -
+                        (nodeV(state, c.np) - nodeV(state, c.nn));
+      cap_current_[i] = geq * dv - cap_current_[i];
+    }
+    std::swap(state, trial_);
+    return true;
+  }
+  if (depth >= 3) return false;
+  // The failed trial is thrown away, so the substeps reuse its buffer.
+  ++counts_.step_subdivisions;
+  const double sub = dt / 4.0;
+  for (int k = 0; k < 4; ++k) {
+    if (!advance(state, t_from + static_cast<double>(k) * sub, sub, depth + 1))
+      return false;
+  }
+  return true;
+}
+
+TransientResult Simulator::transient(double t_stop, double dt,
+                                     std::vector<std::size_t> unknowns) {
   if (!(dt > 0.0) || !(t_stop > 0.0))
     throw std::invalid_argument("Simulator::transient: bad time parameters");
+  for (const std::size_t u : unknowns)
+    MFBO_CHECK(u < dim(), "unknown ", u, " out of range [0,", dim(), ")");
+  if (unknowns.empty()) {
+    unknowns.resize(dim());
+    std::iota(unknowns.begin(), unknowns.end(), std::size_t{0});
+  }
 
+  beginAnalysis();
   TransientResult result;
-  const DcResult dc = dcOperatingPoint();
-  if (!dc.converged) return result;  // converged stays false
-
-  std::fill(cap_current_.begin(), cap_current_.end(), 0.0);
-  Vector x = dc.solution;
-  result.time.push_back(0.0);
-  result.solution.push_back(x);
-
-  // Advance one (sub)step; on Newton failure, subdivide up to 3 levels
-  // (64× finer) — the standard SPICE rescue for sharp nonlinear events.
-  auto advance = [&](auto&& self, Vector& state, double t_from,
-                     double dt_step, int depth) -> bool {
-    Vector trial = state;
-    if (newtonSolve(trial, t_from + dt_step, dt_step, &state, 1.0)) {
-      const auto& caps = netlist_.capacitors();
-      for (std::size_t i = 0; i < caps.size(); ++i) {
-        const Capacitor& c = caps[i];
-        const double geq = 2.0 * c.c / dt_step;
-        const double dv = (nodeV(trial, c.np) - nodeV(trial, c.nn)) -
-                          (nodeV(state, c.np) - nodeV(state, c.nn));
-        cap_current_[i] = geq * dv - cap_current_[i];
-      }
-      state = std::move(trial);
-      return true;
-    }
-    if (depth >= 3) return false;
-    const double sub = dt_step / 4.0;
-    for (int k = 0; k < 4; ++k) {
-      if (!self(self, state, t_from + static_cast<double>(k) * sub, sub,
-                depth + 1))
-        return false;
-    }
-    return true;
-  };
+  result.unknowns = std::move(unknowns);
+  DcResult dc = dcSolve(nullptr);
+  if (!dc.converged) {
+    endAnalysis(false);
+    return result;  // converged stays false
+  }
 
   const std::size_t n_steps =
       static_cast<std::size_t>(std::ceil(t_stop / dt - 1e-9));
+  result.time.reserve(n_steps + 1);
+  result.values.reserve((n_steps + 1) * result.unknowns.size());
+  std::fill(cap_current_.begin(), cap_current_.end(), 0.0);
+  Vector x = std::move(dc.solution);
+  record(result, 0.0, x);
   for (std::size_t step = 1; step <= n_steps; ++step) {
     const double t_from = static_cast<double>(step - 1) * dt;
-    if (!advance(advance, x, t_from, dt, 0)) return result;
-    result.time.push_back(static_cast<double>(step) * dt);
-    result.solution.push_back(x);
+    if (!advance(x, t_from, dt, 0)) {
+      endAnalysis(false);
+      return result;
+    }
+    ++counts_.transient_steps;
+    record(result, static_cast<double>(step) * dt, x);
   }
   result.converged = true;
+  endAnalysis(true);
   return result;
 }
 
@@ -374,22 +453,13 @@ double Simulator::vsourceCurrent(const Vector& solution,
   return solution[vsource_offset_ + vsrc_index];
 }
 
-double Simulator::inductorCurrent(const Vector& solution,
-                                  std::size_t ind_index) const {
-  MFBO_CHECK(ind_index < netlist_.inductors().size(), "inductor index ",
-             ind_index, " out of range");
-  return solution[inductor_offset_ + ind_index];
-}
-
 double Simulator::mosfetCurrent(const Vector& solution,
                                 std::size_t mos_index) const {
   MFBO_CHECK(mos_index < netlist_.mosfets().size(), "mosfet index ",
              mos_index, " out of range");
   const Mosfet& m = netlist_.mosfets()[mos_index];
-  const MosfetSmallSignal ss = mosfetSmallSignal(
-      m, nodeV(solution, m.d), nodeV(solution, m.g), nodeV(solution, m.s));
-  // Current into the netlist drain terminal.
-  return ss.swapped ? -ss.i_deff : ss.i_deff;
+  return mosfetDrainCurrent(m, nodeV(solution, m.d), nodeV(solution, m.g),
+                            nodeV(solution, m.s));
 }
 
 }  // namespace mfbo::circuit

@@ -127,12 +127,20 @@ Matrix gramTN(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-LuFactor::LuFactor(Matrix a) : lu_(std::move(a)), perm_(lu_.rows()) {
+LuFactor::LuFactor(Matrix a) : lu_(std::move(a)) { factor(); }
+
+void LuFactor::refactor(const Matrix& a) {
+  lu_ = a;
+  factor();
+}
+
+void LuFactor::factor() {
   MFBO_CHECK(lu_.rows() == lu_.cols(), "matrix must be square, got ",
              lu_.rows(), "x", lu_.cols());
   MFBO_CHECK(lu_.rows() > 0, "matrix must be non-empty");
   MFBO_CHECK(lu_.allFinite(), "matrix has non-finite entries");
   const std::size_t n = lu_.rows();
+  perm_.resize(n);
   for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
 
   for (std::size_t k = 0; k < n; ++k) {
@@ -165,9 +173,16 @@ LuFactor::LuFactor(Matrix a) : lu_(std::move(a)), perm_(lu_.rows()) {
 }
 
 Vector LuFactor::solve(const Vector& b) const {
+  Vector x;
+  solveInto(b, x);
+  return x;
+}
+
+void LuFactor::solveInto(const Vector& b, Vector& x) const {
   const std::size_t n = dim();
   MFBO_CHECK(b.size() == n, "rhs size ", b.size(), " does not match dim ", n);
-  Vector x(n);
+  MFBO_CHECK(&x != &b, "solution vector must not alias the rhs");
+  if (x.size() != n) x = Vector(n);
   // Forward substitution with permuted RHS (L has unit diagonal).
   for (std::size_t i = 0; i < n; ++i) {
     double acc = b[perm_[i]];
@@ -180,7 +195,6 @@ Vector LuFactor::solve(const Vector& b) const {
     for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
     x[ii] = acc / lu_(ii, ii);
   }
-  return x;
 }
 
 Vector luSolve(Matrix a, Vector b) {

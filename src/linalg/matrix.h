@@ -93,18 +93,35 @@ Matrix gramTN(const Matrix& a, const Matrix& b);
 Vector luSolve(Matrix a, Vector b);
 
 /// LU factorization with partial pivoting, reusable across multiple
-/// right-hand sides (the transient solver re-solves the same Jacobian).
+/// right-hand sides and, through refactor(), across matrices of one size:
+/// the circuit simulator's Newton loop factors every iteration's Jacobian
+/// into the same storage and solves into the same vector, allocating
+/// nothing once sized.
 class LuFactor {
  public:
+  /// Empty factor; refactor() before solving.
+  LuFactor() = default;
   /// Factor @p a in place. Throws std::runtime_error if singular.
   explicit LuFactor(Matrix a);
 
+  /// Factor a copy of @p a into this object's storage (no allocation once
+  /// sized for a's dimension), with the constructor's checks and
+  /// arithmetic. Throws std::runtime_error if singular, leaving the factor
+  /// unusable until the next successful refactor().
+  void refactor(const Matrix& a);
+
   /// Solve A x = b for the factored A.
   Vector solve(const Vector& b) const;
+  /// Solve A x = b into @p x (resized to dim(); no allocation once sized).
+  /// @p x must not be @p b.
+  void solveInto(const Vector& b, Vector& x) const;
 
   std::size_t dim() const { return lu_.rows(); }
 
  private:
+  /// Check and factor lu_ in place, resetting the permutation.
+  void factor();
+
   Matrix lu_;                  // combined L (unit diagonal) and U factors
   std::vector<std::size_t> perm_;  // row permutation
 };

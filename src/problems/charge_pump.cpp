@@ -6,6 +6,7 @@
 #include "circuit/measure.h"
 #include "circuit/netlist.h"
 #include "circuit/simulator.h"
+#include "common/spans.h"
 
 namespace mfbo::problems {
 
@@ -279,6 +280,8 @@ bo::Evaluation ChargePumpProblem::evaluate(const bo::Vector& x,
   const CpPerformance perf = simulate(x, f);
   bo::Evaluation e;
   if (!perf.valid) {
+    spans::addCounter(f == bo::Fidelity::kHigh ? "problems.penalized_high"
+                                               : "problems.penalized_low");
     e.objective = 1e4;
     e.constraints = {1e3, 1e3, 1e3, 1e3, 1e3};
     return e;

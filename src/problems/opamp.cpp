@@ -7,6 +7,7 @@
 #include "circuit/linearize.h"
 #include "circuit/netlist.h"
 #include "circuit/simulator.h"
+#include "common/spans.h"
 
 namespace mfbo::problems {
 
@@ -170,6 +171,8 @@ bo::Evaluation OpampProblem::evaluate(const bo::Vector& x, bo::Fidelity f) {
   const OpampPerformance perf = simulate(x, f);
   bo::Evaluation e;
   if (!perf.valid) {
+    spans::addCounter(f == bo::Fidelity::kHigh ? "problems.penalized_high"
+                                               : "problems.penalized_low");
     e.objective = 100.0;
     e.constraints = {100.0, 100.0, 100.0};
     return e;

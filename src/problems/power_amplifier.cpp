@@ -5,6 +5,7 @@
 #include "circuit/measure.h"
 #include "circuit/netlist.h"
 #include "circuit/simulator.h"
+#include "common/spans.h"
 
 namespace mfbo::problems {
 
@@ -88,7 +89,13 @@ PaPerformance PowerAmplifierProblem::simulate(const bo::Vector& x,
   const double dt = kPeriod / (high ? kStepsPerPeriod : 0.5 * kStepsPerPeriod);
   const double t_measure = high ? 0.5 * t_stop : 2.0 * kPeriod;
 
-  const TransientResult tr = sim.transient(t_stop, dt);
+  // Record only what the measurements read: the output node for the
+  // harmonics, and the supply's node and branch current for its power.
+  const NodeId nvdd = deck.netlist.vsources()[deck.vdd_index].np;
+  const TransientResult tr = sim.transient(
+      t_stop, dt,
+      {static_cast<std::size_t>(deck.out), static_cast<std::size_t>(nvdd),
+       sim.vsourceBranch(deck.vdd_index)});
   PaPerformance perf;
   if (!tr.converged) return perf;  // valid stays false
 
@@ -115,6 +122,8 @@ bo::Evaluation PowerAmplifierProblem::evaluate(const bo::Vector& x,
   bo::Evaluation e;
   if (!perf.valid) {
     // Non-convergence: heavily penalized but finite and smooth-ish.
+    spans::addCounter(f == bo::Fidelity::kHigh ? "problems.penalized_high"
+                                               : "problems.penalized_low");
     e.objective = 100.0;
     e.constraints = {50.0, 50.0};
     return e;

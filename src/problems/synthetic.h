@@ -10,6 +10,7 @@
 //    optimum, for end-to-end synthesis tests.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <string>
 #include <utility>
@@ -160,7 +161,8 @@ class ConstrainedQuadraticProblem final : public Problem {
 };
 
 /// Counts evaluations per fidelity around any wrapped problem (test /
-/// accounting helper).
+/// accounting helper). Reentrant like the problem it wraps: the engine
+/// evaluates a batch on the pool.
 class CountingProblem final : public Problem {
  public:
   explicit CountingProblem(Problem& inner) : inner_(inner) {}
@@ -182,8 +184,8 @@ class CountingProblem final : public Problem {
 
  private:
   Problem& inner_;
-  std::size_t low_calls_ = 0;
-  std::size_t high_calls_ = 0;
+  std::atomic<std::size_t> low_calls_{0};
+  std::atomic<std::size_t> high_calls_{0};
 };
 
 }  // namespace mfbo::problems

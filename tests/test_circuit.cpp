@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <limits>
 #include <numbers>
+#include <string>
 
 #include "circuit/ac.h"
 #include "circuit/fft.h"
@@ -16,6 +18,11 @@
 #include "circuit/parser.h"
 #include "circuit/pvt.h"
 #include "circuit/simulator.h"
+#include "common/check.h"
+#include "common/json.h"
+#include "common/memstats.h"
+#include "common/parallel.h"
+#include "common/spans.h"
 #include "problems/charge_pump.h"
 #include "problems/opamp.h"
 #include "problems/power_amplifier.h"
@@ -221,7 +228,7 @@ TEST(DcAnalysis, InductorIsDcShort) {
   const DcResult dc = sim.dcOperatingPoint();
   ASSERT_TRUE(dc.converged);
   EXPECT_NEAR(dc.solution[static_cast<std::size_t>(mid)], 5.0, 1e-6);
-  EXPECT_NEAR(sim.inductorCurrent(dc.solution, 0), 5e-3, 1e-8);
+  EXPECT_NEAR(dc.solution[sim.inductorBranch(0)], 5e-3, 1e-8);
 }
 
 TEST(DcAnalysis, DiodeDropIsAboutSixHundredMillivolts) {
@@ -338,7 +345,7 @@ TEST(TransientAnalysis, RlCurrentRiseMatchesExponential) {
   const double tau = 1e-6;
   for (std::size_t k = 20; k < tr.time.size(); k += 60) {
     const double expected = 1e-3 * (1.0 - std::exp(-tr.time[k] / tau));
-    EXPECT_NEAR(sim.inductorCurrent(tr.solution[k], 0), expected, 2e-5)
+    EXPECT_NEAR(tr.value(k, sim.inductorBranch(0)), expected, 2e-5)
         << "t=" << tr.time[k];
   }
 }
@@ -738,11 +745,10 @@ TEST(GoldenBits, EveryDeviceDeckTransientFinalState) {
   Simulator sim(net);
   const TransientResult tr = sim.transient(110e-9, 0.5e-9);
   ASSERT_TRUE(tr.converged);
-  ASSERT_EQ(tr.solution.size(), 221u);
-  const Vector& last = tr.solution.back();
-  ASSERT_EQ(last.size(), std::size(kDeckDcTran));
-  for (std::size_t i = 0; i < last.size(); ++i)
-    EXPECT_EQ(last[i], kDeckDcTran[i].tran_final) << "unknown " << i;
+  ASSERT_EQ(tr.time.size(), 221u);
+  ASSERT_EQ(tr.unknowns.size(), std::size(kDeckDcTran));
+  for (std::size_t i = 0; i < tr.unknowns.size(); ++i)
+    EXPECT_EQ(tr.value(220, i), kDeckDcTran[i].tran_final) << "unknown " << i;
 }
 
 TEST(GoldenBits, EveryDeviceDeckAcPhasors) {
@@ -813,6 +819,154 @@ TEST(GoldenBits, OpampBothFidelities) {
   EXPECT_EQ(hi.ugf_hz, 0x1.dbb7197043b8p+25);
   EXPECT_EQ(hi.pm_deg, 0x1.08d74a5ce0475p+6);
   EXPECT_EQ(hi.power_mw, 0x1.1afb6332af1d8p-2);
+}
+
+// ------------------------------------------------------ transient recording --
+
+TEST(TransientRecording, SubsetMatchesTheFullRecordingBitForBit) {
+  Netlist net = parseNetlist(kEveryDeviceDeck);
+  const NodeId out = net.node("out");
+  Simulator full_sim(net);
+  const TransientResult full = full_sim.transient(110e-9, 0.5e-9);
+  ASSERT_TRUE(full.converged);
+  ASSERT_EQ(full.unknowns.size(), full_sim.dim());
+  ASSERT_EQ(full.values.size(), full.time.size() * full_sim.dim());
+
+  Simulator sim(net);
+  const std::size_t branch = sim.vsourceBranch(0);
+  const TransientResult part =
+      sim.transient(110e-9, 0.5e-9, {branch, static_cast<std::size_t>(out)});
+  ASSERT_TRUE(part.converged);
+  ASSERT_EQ(part.time.size(), full.time.size());
+  EXPECT_EQ(part.values.size(), 2 * part.time.size());
+  for (std::size_t k = 0; k < part.time.size(); ++k) {
+    EXPECT_EQ(part.time[k], full.time[k]);
+    EXPECT_EQ(part.value(k, branch), full.value(k, branch)) << "step " << k;
+    EXPECT_EQ(part.nodeVoltage(k, out), full.nodeVoltage(k, out))
+        << "step " << k;
+  }
+  EXPECT_EQ(part.nodeVoltage(3, kGround), 0.0);
+  EXPECT_THROW(part.value(0, 0), mfbo::ContractViolation);
+  EXPECT_THROW(part.value(part.time.size(), branch), mfbo::ContractViolation);
+  EXPECT_THROW(sim.transient(1e-9, 0.5e-9, {sim.dim()}),
+               mfbo::ContractViolation);
+}
+
+TEST(TransientRecording, MeasurementsNeedWhatTheyReadRecorded) {
+  Netlist n;
+  const NodeId vdd = n.node("vdd"), d = n.node("d");
+  n.addVSource("vdd", vdd, kGround, Waveform::dc(1.0));
+  n.addResistor("rd", vdd, d, 1e3);
+  MosfetParams p;
+  p.w = 10e-6;
+  p.l = 1e-6;
+  n.addMosfet("m1", d, vdd, kGround, p);
+  Simulator sim(n);
+  const TransientResult only_d =
+      sim.transient(1e-8, 1e-9, {static_cast<std::size_t>(d)});
+  ASSERT_TRUE(only_d.converged);
+  EXPECT_THROW(mosfetCurrentStats(sim, only_d, 0, 0.0),
+               mfbo::ContractViolation);
+  EXPECT_THROW(averageSourcePower(sim, only_d, 0, 0.0),
+               mfbo::ContractViolation);
+  const TransientResult all = sim.transient(1e-8, 1e-9);
+  const double i_dc = sim.mosfetCurrent(sim.dcOperatingPoint().solution, 0);
+  EXPECT_NEAR(mosfetCurrentStats(sim, all, 0, 0.0).avg, i_dc,
+              1e-12 * std::abs(i_dc));
+}
+
+TEST(CircuitAllocations, PowerAmplifierSimulateAllocatesNothingPerStep) {
+  const mfbo::problems::PowerAmplifierProblem pa;
+  const mfbo::bo::Vector x{6e-12, 2.3e-12, 4e-3, 2.0, 0.7};
+  for (const auto f : {mfbo::bo::Fidelity::kLow, mfbo::bo::Fidelity::kHigh}) {
+    const std::uint64_t before = mfbo::memstats::threadCounters().alloc_count;
+    const auto perf = pa.simulate(x, f);
+    const std::uint64_t allocs =
+        mfbo::memstats::threadCounters().alloc_count - before;
+    ASSERT_TRUE(perf.valid);
+    // Building the deck, the simulator's workspace and the recording: a
+    // fixed count, against 30,720 high-fidelity steps.
+    EXPECT_LT(allocs, 100u) << "fidelity " << static_cast<int>(f);
+  }
+}
+
+/// Sum of the counter @p name over every node of a span tree.
+double counterTotal(const mfbo::Json& node, const std::string& name) {
+  double total = 0.0;
+  if (node.contains("counters") && node.at("counters").contains(name))
+    total += node.at("counters").at(name).asNumber();
+  if (node.contains("children"))
+    for (const auto& child : node.at("children").members())
+      total += counterTotal(child.second, name);
+  return total;
+}
+
+/// Span tree (no timing) of @p fn run under the profiler.
+template <typename Fn>
+mfbo::Json profiled(Fn&& fn) {
+  mfbo::spans::reset();
+  mfbo::spans::setEnabled(true);
+  {
+    const mfbo::spans::ScopedSpan span("test");
+    fn();
+  }
+  mfbo::Json tree = mfbo::spans::snapshot(false);
+  mfbo::spans::setEnabled(false);
+  mfbo::spans::reset();
+  return tree;
+}
+
+TEST(SpanCircuitCounters, PowerAmplifierHighFidelityAtOneAndFourThreads) {
+  mfbo::problems::PowerAmplifierProblem pa;
+  const mfbo::bo::Vector x{6e-12, 2.3e-12, 4e-3, 2.0, 0.7};
+  const auto two_sims = [&] {
+    mfbo::parallel::parallelFor(2, [&](std::size_t) {
+      EXPECT_TRUE(pa.simulate(x, mfbo::bo::Fidelity::kHigh).valid);
+    });
+  };
+  std::string trees[2];
+  for (const std::size_t threads : {1u, 4u}) {
+    mfbo::parallel::setMaxThreads(threads);
+    const mfbo::Json tree = profiled(two_sims);
+    mfbo::parallel::setMaxThreads(0);
+    const double steps = counterTotal(tree, "circuit.transient_steps");
+    EXPECT_EQ(steps, 2 * 30720.0);
+    EXPECT_GT(counterTotal(tree, "circuit.newton_iterations"), steps);
+    EXPECT_EQ(counterTotal(tree, "circuit.nonconverged"), 0.0);
+    trees[threads == 1 ? 0 : 1] = tree.dump();
+  }
+  // Pool workers' counters merge into the caller's span: one tree at any
+  // thread count.
+  EXPECT_EQ(trees[0], trees[1]);
+}
+
+TEST(SpanCircuitCounters, NonconvergentDeckIsCountedAndPenalized) {
+  // Two ideal sources forcing one node to different voltages: the MNA
+  // system is singular, so every rung of the DC ladder fails.
+  Netlist n;
+  const NodeId a = n.node("a");
+  n.addVSource("v1", a, kGround, Waveform::dc(1.0));
+  n.addVSource("v2", a, kGround, Waveform::dc(2.0));
+  n.addResistor("r1", a, kGround, 1e3);
+  const mfbo::Json dc_tree = profiled([&] {
+    Simulator sim(n);
+    EXPECT_FALSE(sim.dcOperatingPoint().converged);
+  });
+  EXPECT_EQ(counterTotal(dc_tree, "circuit.nonconverged"), 1.0);
+  EXPECT_EQ(counterTotal(dc_tree, "circuit.dc_gmin_stepping"), 1.0);
+  EXPECT_EQ(counterTotal(dc_tree, "circuit.dc_source_stepping"), 1.0);
+
+  // A 50 V PA supply, far outside the design box, does not converge: the
+  // problem maps it to its fixed penalty and counts it.
+  mfbo::problems::PowerAmplifierProblem pa;
+  const mfbo::Json pa_tree = profiled([&] {
+    const mfbo::bo::Evaluation e = pa.evaluate(
+        {6e-12, 2.3e-12, 4e-3, 50.0, 0.7}, mfbo::bo::Fidelity::kLow);
+    EXPECT_EQ(e.objective, 100.0);
+  });
+  EXPECT_EQ(counterTotal(pa_tree, "circuit.nonconverged"), 1.0);
+  EXPECT_EQ(counterTotal(pa_tree, "problems.penalized_low"), 1.0);
+  EXPECT_EQ(counterTotal(pa_tree, "problems.penalized_high"), 0.0);
 }
 
 }  // namespace

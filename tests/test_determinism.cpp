@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bo/de_baseline.h"
+#include "bo/engine.h"
+#include "bo/gaspad.h"
 #include "bo/mfbo.h"
 #include "common/parallel.h"
 #include "common/spans.h"
@@ -217,6 +220,32 @@ TEST(MfboDeterminism, DifferentSeedsStillDiffer) {
   const auto a = withThreads(4, [] { return tracedRun(7); });
   const auto b = withThreads(4, [] { return tracedRun(8); });
   EXPECT_NE(a.second, b.second);
+}
+
+TEST(MfboDeterminism, GaspadAndDeInitialBatchesMatchAcrossThreadCounts) {
+  // Both baselines simulate their initial design as one pooled batch; a
+  // budget below DE's population also truncates that batch.
+  bo::GaspadOptions gaspad;
+  gaspad.n_init = 8;
+  gaspad.max_sims = 12;
+  gaspad.population = 6;
+  gaspad.children = 10;
+  gaspad.gp.n_restarts = 2;
+  bo::DeBaselineOptions de;
+  de.population = 12;
+  de.max_sims = 9.5;
+  const auto run = [&] {
+    problems::ConstrainedQuadraticProblem problem(2);
+    problems::CountingProblem counting(problem);
+    std::string out = bo::synthesisResultToJson(
+                          bo::Gaspad(gaspad).run(counting, 21))
+                          .dump();
+    out += bo::synthesisResultToJson(bo::DeBaseline(de).run(counting, 21))
+               .dump();
+    EXPECT_EQ(counting.highCalls(), 12u + 9u);
+    return out;
+  };
+  EXPECT_EQ(withThreads(1, run), withThreads(4, run));
 }
 
 // --- bench artifact ------------------------------------------------------

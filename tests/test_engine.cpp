@@ -8,8 +8,12 @@
 // byte-identity, not tolerance.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bo/engine.h"
@@ -378,6 +382,121 @@ TEST(EngineDeterminism, WeiboArtifactsMatchAcrossThreadCounts) {
   const RunArtifacts pooled = withThreads(4, run);
   EXPECT_EQ(serial.result, pooled.result);
   EXPECT_EQ(serial.trace, pooled.trace);
+}
+
+// --- the initial design is one pooled batch -------------------------------
+
+/// ConstrainedQuadraticProblem that throws std::runtime_error from its
+/// @p throw_at-th evaluation (1-based) and from no other.
+class ThrowOnceProblem final : public bo::Problem {
+ public:
+  explicit ThrowOnceProblem(std::size_t throw_at) : throw_at_(throw_at) {}
+  std::string name() const override { return inner_.name(); }
+  std::size_t dim() const override { return inner_.dim(); }
+  std::size_t numConstraints() const override {
+    return inner_.numConstraints();
+  }
+  bo::Box bounds() const override { return inner_.bounds(); }
+  double costRatio() const override { return inner_.costRatio(); }
+  bo::Evaluation evaluate(const bo::Vector& x,
+                          bo::Fidelity fidelity) override {
+    if (calls_.fetch_add(1) + 1 == throw_at_)
+      throw std::runtime_error("simulator crashed");
+    return inner_.evaluate(x, fidelity);
+  }
+
+ private:
+  problems::ConstrainedQuadraticProblem inner_{2};
+  std::size_t throw_at_;
+  std::atomic<std::size_t> calls_{0};
+};
+
+/// Result and trace of a run whose first step() throws once and is then
+/// retried, the engine stepped by hand to completion.
+template <typename MakeEngine>
+RunArtifacts runWithOneThrowingInit(MakeEngine make_engine) {
+  ThrowOnceProblem problem(3);
+  telemetry::CollectingTraceSink sink;
+  const telemetry::ScopedTraceSink scope(&sink);
+  const std::unique_ptr<bo::Engine> engine = make_engine(problem);
+  EXPECT_THROW(engine->step(), std::runtime_error);
+  EXPECT_EQ(engine->state(), EngineState::kInit);
+  EXPECT_EQ(engine->evaluations(), 0u);
+  EXPECT_EQ(engine->steps(), 0u);
+  while (!engine->done()) engine->step();
+  RunArtifacts out;
+  out.result = bo::synthesisResultToJson(engine->takeResult()).dump();
+  for (const Json& event : sink.events) {
+    out.trace += event.dump();
+    out.trace += '\n';
+  }
+  return out;
+}
+
+TEST(EngineInit, ThrowingEvaluationRetriesLikeAnUninterruptedRun) {
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const ScopedThreads scope(threads);
+    const RunArtifacts mfbo_reference =
+        tracedRun(bo::MfboSynthesizer(quickMfboOptions()), 9);
+    const RunArtifacts mfbo_retried =
+        runWithOneThrowingInit([](bo::Problem& problem) {
+          return std::make_unique<bo::MfboEngine>(problem, 9,
+                                                  quickMfboOptions());
+        });
+    EXPECT_EQ(mfbo_retried.result, mfbo_reference.result);
+    EXPECT_EQ(mfbo_retried.trace, mfbo_reference.trace);
+
+    const RunArtifacts weibo_reference =
+        tracedRun(bo::Weibo(quickWeiboOptions()), 9);
+    const RunArtifacts weibo_retried =
+        runWithOneThrowingInit([](bo::Problem& problem) {
+          return std::make_unique<bo::WeiboEngine>(problem, 9,
+                                                   quickWeiboOptions());
+        });
+    EXPECT_EQ(weibo_retried.result, weibo_reference.result);
+    EXPECT_EQ(weibo_retried.trace, weibo_reference.trace);
+  }
+}
+
+/// Pooled regions the Init step of @p engine dispatched, and the run-log
+/// line of the evaluations it recorded.
+std::pair<std::uint64_t, std::string> initStep(bo::Engine& engine) {
+  const std::uint64_t before = parallel::poolStats().pooled_regions;
+  engine.step();
+  EXPECT_EQ(engine.state(), EngineState::kFitSurrogate);
+  return {parallel::poolStats().pooled_regions - before,
+          engine.logRecord(0)};
+}
+
+TEST(EngineInit, IsOnePooledBatchAtFourThreadsAndSerialAtOne) {
+  auto problem = quickProblem();
+  const auto mfbo = [&] {
+    bo::MfboEngine engine(problem, 4, quickMfboOptions());
+    return initStep(engine);
+  };
+  const auto weibo = [&] {
+    bo::WeiboEngine engine(problem, 4, quickWeiboOptions());
+    return initStep(engine);
+  };
+  const auto mfbo_serial = withThreads(1, mfbo);
+  const auto mfbo_pooled = withThreads(4, mfbo);
+  EXPECT_EQ(mfbo_serial.first, 0u);
+  EXPECT_GE(mfbo_pooled.first, 1u);
+  EXPECT_EQ(mfbo_serial.second, mfbo_pooled.second);
+  // Every low design, then every high design.
+  const Json evals =
+      Json::parse(mfbo_serial.second.substr(0, mfbo_serial.second.rfind(' ')))
+          .at("evals");
+  ASSERT_EQ(evals.size(), 12u);
+  for (std::size_t i = 0; i < evals.size(); ++i)
+    EXPECT_EQ(evals.at(i).at("fidelity").asString(), i < 8 ? "low" : "high");
+
+  const auto weibo_serial = withThreads(1, weibo);
+  const auto weibo_pooled = withThreads(4, weibo);
+  EXPECT_EQ(weibo_serial.first, 0u);
+  EXPECT_GE(weibo_pooled.first, 1u);
+  EXPECT_EQ(weibo_serial.second, weibo_pooled.second);
 }
 
 }  // namespace

@@ -272,6 +272,31 @@ class Config:
             "fan-out, or a recorder enabled mid-run orders the dump by "
             "thread race",
         ),
+        # The circuit layer's counters and the pooled evaluation batches.
+        Coupling(
+            "src/circuit/simulator.cpp",
+            "addCounter",
+            "every analysis call must publish its circuit.* counters, or "
+            "the simulator goes blind again",
+        ),
+        Coupling(
+            "src/bo/engine.cpp",
+            "parallelFor",
+            "evaluateBatch must simulate as pool tasks, or Init and "
+            "AwaitResults run on one core",
+        ),
+        Coupling(
+            "src/bo/gaspad.cpp",
+            "parallelMap",
+            "GASPAD's initial design must be one pooled batch, or the "
+            "initial population runs on one core",
+        ),
+        Coupling(
+            "src/bo/de_baseline.cpp",
+            "parallelMap",
+            "the DE baseline's initial population must be one pooled "
+            "batch, or the initial population runs on one core",
+        ),
     )
 
     excludes: tuple[str, ...] = tuple(DEFAULT_EXCLUDES)
