@@ -89,8 +89,10 @@ int main(int argc, char** argv) {
   std::size_t found_on = 0, found_off = 0;
   std::vector<double> cost_on, cost_off;
   for (std::size_t r = 0; r < runs; ++r) {
-    const auto a = bo::MfboSynthesizer(on).run(problem, cfg.seed + r);
-    const auto b = bo::MfboSynthesizer(off).run(problem, cfg.seed + r);
+    const auto a =
+        bench::runOnce(cfg, bo::MfboSynthesizer(on), problem, cfg.seed + r);
+    const auto b =
+        bench::runOnce(cfg, bo::MfboSynthesizer(off), problem, cfg.seed + r);
     stats_on.add(a);
     stats_off.add(b);
     const double ca = costToFirstFeasible(a);

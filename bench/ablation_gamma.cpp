@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
     bench::AlgoStats stats{label};
     std::vector<double> nlow, nhigh;
     for (std::size_t r = 0; r < runs; ++r) {
-      const auto res = bo::MfboSynthesizer(opt).run(problem, cfg.seed + r);
+      const auto res =
+          bench::runOnce(cfg, bo::MfboSynthesizer(opt), problem, cfg.seed + r);
       stats.add(res);
       nlow.push_back(static_cast<double>(res.n_low));
       nhigh.push_back(static_cast<double>(res.n_high));

@@ -19,7 +19,12 @@
 //                (timing-free under --no-timing). Without it the artifact
 //                holds no counts.
 //   --trace FILE write a JSONL event trace (run_start/iteration/run_end)
-//                for tools/run_report.py; exits 2 on an unwritable path
+//                for tools/run_report.py; exits 2 on an unwritable path.
+//                Each run's lines come from its own iteration observer. A
+//                runRepeats call appends its runs in repeat order when it
+//                returns, so the bytes match at any thread count and a
+//                killed bench keeps the algorithms that had finished;
+//                runOnce appends its run when it returns
 //   --timeline FILE
 //                record every span open/close as Chrome/Perfetto
 //                trace-event JSON (load in chrome://tracing or ui.perfetto.
@@ -43,7 +48,11 @@
 #include <utility>
 #include <vector>
 
+#include "bo/de_baseline.h"
+#include "bo/gaspad.h"
+#include "bo/mfbo.h"
 #include "bo/result.h"
+#include "bo/weibo.h"
 #include "common/json.h"
 #include "common/memstats.h"
 #include "common/parallel.h"
@@ -64,9 +73,9 @@ struct BenchConfig {
   std::string out;       // artifact path; empty = no artifact
   std::string trace;     // JSONL trace path; empty = no trace
   std::string timeline;  // Perfetto trace-event path; empty = no timeline
-  // Keeps the installed trace sink alive for the whole bench run (the
-  // process-wide sink slot borrows it); copied along with the config.
-  std::shared_ptr<telemetry::TraceWriter> trace_writer;
+  // The --trace file, opened (and truncated) by parseArgs and appended to
+  // by appendTrace; shared by copies of the config, closed with the last.
+  std::shared_ptr<std::FILE> trace_file;
 
   std::size_t runs(std::size_t quick_default, std::size_t full_default) const {
     if (runs_override > 0) return runs_override;
@@ -153,15 +162,12 @@ inline BenchConfig parseArgs(int argc, char** argv) {
       if (i + 1 >= argc) fail("missing value for", argv[i]);
       cfg.trace = argv[++i];
       if (cfg.trace.empty()) fail("--trace wants a file path, got", "");
-      try {
-        // Open (and truncate) up front: an unwritable path must be a
-        // startup error, not a warning after minutes of synthesis.
-        cfg.trace_writer =
-            std::make_shared<telemetry::TraceWriter>(cfg.trace);
-      } catch (const std::runtime_error&) {
+      // Open (and truncate) up front: an unwritable path must be a startup
+      // error, not a lost trace after minutes of synthesis.
+      std::FILE* file = std::fopen(cfg.trace.c_str(), "w");
+      if (file == nullptr)
         fail("--trace path is not writable:", cfg.trace.c_str());
-      }
-      telemetry::setTraceSink(cfg.trace_writer.get());
+      cfg.trace_file.reset(file, [](std::FILE* f) { std::fclose(f); });
     } else if (std::strcmp(argv[i], "--timeline") == 0) {
       if (i + 1 >= argc) fail("missing value for", argv[i]);
       cfg.timeline = argv[++i];
@@ -237,19 +243,76 @@ struct AlgoStats {
   }
 };
 
+/// run_start's algorithm tag and budget for each synthesizer a bench runs.
+inline std::pair<const char*, double> traceTag(const bo::MfboSynthesizer& s) {
+  return {"mfbo", s.options().budget};
+}
+inline std::pair<const char*, double> traceTag(const bo::Weibo& s) {
+  return {"weibo", s.options().max_sims};
+}
+inline std::pair<const char*, double> traceTag(const bo::Gaspad& s) {
+  return {"gaspad", s.options().max_sims};
+}
+inline std::pair<const char*, double> traceTag(const bo::DeBaseline& s) {
+  return {"de", s.options().max_sims};
+}
+
+/// One seeded run of a copy of @p synthesizer whose observer appends
+/// iterationJson lines to @p trace, between the run's run_start and
+/// run_end lines.
+template <class Synthesizer>
+bo::SynthesisResult runTraced(const Synthesizer& synthesizer,
+                              bo::Problem& problem, std::uint64_t seed,
+                              std::string& trace) {
+  const auto [algo, budget] = traceTag(synthesizer);
+  trace += bo::runStartJson(algo, problem, seed, budget).dump() + '\n';
+  auto options = synthesizer.options();
+  options.observer = [&trace](const bo::IterationRecord& record) {
+    trace += bo::iterationJson(record).dump() + '\n';
+  };
+  bo::SynthesisResult result =
+      Synthesizer(std::move(options)).run(problem, seed);
+  trace += bo::runEndJson(algo, result).dump() + '\n';
+  return result;
+}
+
+/// Append @p trace to the --trace file. A failed write or flush names the
+/// path and exits 1, like writeFileOrExit.
+inline void appendTrace(const BenchConfig& cfg, const std::string& trace) {
+  std::FILE* file = cfg.trace_file.get();
+  if (std::fwrite(trace.data(), 1, trace.size(), file) != trace.size() ||
+      std::fflush(file) != 0) {
+    std::fprintf(stderr, "failed to write '%s'\n", cfg.trace.c_str());
+    std::exit(1);
+  }
+}
+
+/// One seeded run for a bench that loops by hand; with --trace, its lines
+/// reach the file when it returns.
+template <class Synthesizer>
+bo::SynthesisResult runOnce(const BenchConfig& cfg,
+                            const Synthesizer& synthesizer,
+                            bo::Problem& problem, std::uint64_t seed) {
+  if (!cfg.trace_file) return synthesizer.run(problem, seed);
+  std::string trace;
+  bo::SynthesisResult result = runTraced(synthesizer, problem, seed, trace);
+  appendTrace(cfg, trace);
+  return result;
+}
+
 /// Run `runs` seeded repetitions of one algorithm on the parallel pool —
-/// one repeat per task, seed base_seed+r (defaults to cfg.seed), a fresh
-/// problem instance per task from the factory (Problem::evaluate may mutate
-/// state, so instances are never shared) — and add the results to @p stats
-/// in repeat order. Aggregates (including the order-sensitive median
-/// tracking) are therefore identical at any thread count. Per-run wall
-/// times are recorded unless --no-timing was given; the synthesis loops
-/// inside each repeat still run, nested, on their serial path.
+/// one repeat per task, traced or not, seed base_seed+r (defaults to
+/// cfg.seed), a fresh problem instance per task from the factory
+/// (Problem::evaluate may mutate state, so instances are never shared) —
+/// and add the results to @p stats in repeat order. Aggregates (including
+/// the order-sensitive median tracking) are therefore identical at any
+/// thread count. Per-run wall times are recorded unless --no-timing was
+/// given; the synthesis loops inside each repeat still run, nested, on
+/// their serial path.
 ///
-/// The trace sink has a single writer: while one is installed (--trace),
-/// the repeats run one after another in repeat order, so each run's events
-/// stay contiguous and the trace bytes match at any thread count. Their
-/// inner parallel regions then use the pool.
+/// With --trace, each repeat is a runTraced into that repeat's own buffer.
+/// Once every repeat is in, the buffers are appended to the trace file in
+/// repeat order, so the bytes match at any thread count.
 template <class Synthesizer, class ProblemFactory>
 void runRepeats(AlgoStats& stats, const Synthesizer& synthesizer,
                 ProblemFactory make_problem, std::size_t runs,
@@ -260,24 +323,25 @@ void runRepeats(AlgoStats& stats, const Synthesizer& synthesizer,
     bo::SynthesisResult result;
     double seconds = 0.0;
   };
+  // Each traced repeat's JSONL lines, one slot per repeat.
+  std::vector<std::string> traces(cfg.trace_file ? runs : 0);
   const auto repeat = [&](std::size_t r) {
     auto problem = make_problem();
     const auto start = std::chrono::steady_clock::now();
     Repeat out;
-    out.result = synthesizer.run(problem, base_seed + r);
+    out.result =
+        cfg.trace_file
+            ? runTraced(synthesizer, problem, base_seed + r, traces[r])
+            : synthesizer.run(problem, base_seed + r);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     out.seconds = elapsed.count();
     return out;
   };
-  std::vector<Repeat> repeats;
-  if (telemetry::traceEnabled()) {
-    for (std::size_t r = 0; r < runs; ++r) repeats.push_back(repeat(r));
-  } else {
-    repeats = parallel::parallelMap(runs, repeat);
-  }
+  const std::vector<Repeat> repeats = parallel::parallelMap(runs, repeat);
   for (const Repeat& r : repeats)
     stats.add(r.result, cfg.timing ? r.seconds : 0.0);
+  for (const std::string& trace : traces) appendTrace(cfg, trace);
 }
 
 /// Common artifact preamble: bench identity, mode, runs, seed.

@@ -7,9 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/json.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 
 namespace mfbo::bo {
 
@@ -22,7 +20,9 @@ Json numberOrNull(double v) {
   return std::isfinite(v) ? Json::number(v) : Json::null();
 }
 
-Json iterationToJson(const IterationRecord& r) {
+}  // namespace
+
+Json iterationJson(const IterationRecord& r) {
   Json e = Json::object();
   e.set("type", "iteration");
   e.set("algo", std::string(r.algo));
@@ -60,22 +60,8 @@ Json iterationToJson(const IterationRecord& r) {
   return e;
 }
 
-}  // namespace
-
-bool iterationWanted(const IterationObserver& observer) {
-  return static_cast<bool>(observer) || telemetry::traceEnabled();
-}
-
-void publishIteration(const IterationRecord& record,
-                      const IterationObserver& observer) {
-  if (observer) observer(record);
-  if (telemetry::traceEnabled())
-    telemetry::emitTrace(iterationToJson(record));
-}
-
-void traceRunStart(std::string_view algo, const Problem& problem,
-                   std::uint64_t seed, double budget) {
-  if (!telemetry::traceEnabled()) return;
+Json runStartJson(std::string_view algo, const Problem& problem,
+                  std::uint64_t seed, double budget) {
   Json e = Json::object();
   e.set("type", "run_start");
   e.set("algo", std::string(algo));
@@ -85,11 +71,10 @@ void traceRunStart(std::string_view algo, const Problem& problem,
   e.set("cost_ratio", problem.costRatio());
   e.set("budget", budget);
   e.set("seed", Json::number(static_cast<double>(seed)));
-  telemetry::emitTrace(e);
+  return e;
 }
 
-void traceRunEnd(std::string_view algo, const SynthesisResult& result) {
-  if (!telemetry::traceEnabled()) return;
+Json runEndJson(std::string_view algo, const SynthesisResult& result) {
   Json e = Json::object();
   e.set("type", "run_end");
   e.set("algo", std::string(algo));
@@ -98,7 +83,7 @@ void traceRunEnd(std::string_view algo, const SynthesisResult& result) {
   e.set("n_low", result.n_low);
   e.set("n_high", result.n_high);
   e.set("equivalent_high_sims", result.equivalent_high_sims);
-  telemetry::emitTrace(e);
+  return e;
 }
 
 IterationObserver stderrProgressObserver() {

@@ -14,6 +14,7 @@
 #include "bo/problem.h"
 #include "bo/result.h"
 #include "common/check.h"
+#include "common/json.h"
 #include "linalg/rng.h"
 #include "opt/multistart.h"
 
@@ -27,12 +28,12 @@ inline const char* fidelityName(Fidelity f) {
 }
 
 /// Snapshot of one synthesis-loop iteration, published to the optional
-/// IterationObserver callback and — when a telemetry::TraceSink is
-/// installed — serialized as one JSONL `iteration` event. Pointer members
-/// reference the algorithm's internal state and are valid only for the
-/// duration of the callback. Fields that do not apply to an algorithm stay
-/// at their NaN / null defaults (e.g. only MFBO fills the eq. (11)/(12)
-/// fidelity-decision fields).
+/// IterationObserver callback, the only way it leaves the run
+/// (iterationJson serializes it as one JSONL `iteration` event). Pointer
+/// members reference the algorithm's internal state and are valid only for
+/// the duration of the callback. Fields that do not apply to an algorithm
+/// stay at their NaN / null defaults (e.g. only MFBO fills the eq.
+/// (11)/(12) fidelity-decision fields).
 struct IterationRecord {
   static constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
@@ -67,21 +68,16 @@ struct IterationRecord {
 /// evaluation, before the surrogate update.
 using IterationObserver = std::function<void(const IterationRecord&)>;
 
-/// True when building an IterationRecord is worthwhile: an observer is set
-/// or a trace sink is installed. Keeps untraced runs free of bookkeeping.
-bool iterationWanted(const IterationObserver& observer);
+/// The record as one JSONL `iteration` trace event: the trace format
+/// tools/run_report.py reads. NaN fields serialize as null.
+Json iterationJson(const IterationRecord& record);
 
-/// Invoke @p observer (when set) and emit the JSONL `iteration` trace event
-/// (when a sink is installed).
-void publishIteration(const IterationRecord& record,
-                      const IterationObserver& observer);
+/// The `run_start` event bracketing a run's iteration events.
+Json runStartJson(std::string_view algo, const Problem& problem,
+                  std::uint64_t seed, double budget);
 
-/// Emit a `run_start` trace event (no-op without a sink).
-void traceRunStart(std::string_view algo, const Problem& problem,
-                   std::uint64_t seed, double budget);
-
-/// Emit a `run_end` trace event (no-op without a sink).
-void traceRunEnd(std::string_view algo, const SynthesisResult& result);
+/// The `run_end` event closing a run's iteration events.
+Json runEndJson(std::string_view algo, const SynthesisResult& result);
 
 /// Ready-made observer printing one progress line per iteration to stderr
 /// (the examples' --verbose flag).

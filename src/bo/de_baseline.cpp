@@ -15,7 +15,6 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
   const Box box = problem.bounds();
   Rng rng(seed);
   const spans::ScopedSpan run_span("de");
-  traceRunStart("de", problem, seed, options_.max_sims);
 
   CostTracker tracker(problem.costRatio());
   std::vector<HistoryEntry> history;
@@ -70,7 +69,7 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
 
     // One progress record per generation (every trial costs a simulation,
     // so per-trial events would dwarf the BO algorithms' traces).
-    if (iterationWanted(options_.observer) && !history.empty()) {
+    if (options_.observer && !history.empty()) {
       const spans::ScopedSpan observe_span("observe");
       IterationRecord rec;
       rec.algo = "de";
@@ -83,13 +82,11 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
         rec.best_objective = history[*best].eval.objective;
         rec.feasible_found = history[*best].eval.feasible();
       }
-      publishIteration(rec, options_.observer);
+      options_.observer(rec);
     }
   }
 
-  SynthesisResult result = finalizeResult(std::move(history), tracker);
-  traceRunEnd("de", result);
-  return result;
+  return finalizeResult(std::move(history), tracker);
 }
 
 }  // namespace mfbo::bo

@@ -308,7 +308,7 @@ void Engine::handleAwaitResults() {
 void Engine::handleObserve() {
   const IterationObserver& observer = observerRef();
   for (const ProposedSlot& slot : pending_) {
-    if (!iterationWanted(observer)) break;
+    if (!observer) break;
     const spans::ScopedSpan observe_span("observe");
     IterationRecord rec;
     rec.algo = algoName();
@@ -335,7 +335,7 @@ void Engine::handleObserve() {
       rec.best_objective = history_[*best].eval.objective;
       rec.feasible_found = history_[*best].eval.feasible();
     }
-    if (!replaying()) publishIteration(rec, observer);
+    if (!replaying()) observer(rec);
   }
   transition(EngineState::kFitSurrogate);
 }
@@ -351,7 +351,6 @@ void Engine::finishFit() {
 
 void Engine::finish() {
   result_ = finalizeResult(std::move(history_), tracker_);
-  if (!replaying()) traceRunEnd(algoName(), result_);
   transition(EngineState::kDone);
 }
 
@@ -568,10 +567,9 @@ void MfboEngine::applyLiar(const ProposedSlot& slot) {
 void MfboEngine::handleInit() {
   // Step 1 of Algorithm 1: initial designs at both fidelities, evaluated as
   // one batch — every low, then every high, each in LHS order. They are
-  // drawn from a copy of the RNG, which is committed (with the records and
-  // run_start) only once every evaluation has returned: an Init that throws
-  // leaves the engine untouched, so its retry runs like an uninterrupted
-  // run.
+  // drawn from a copy of the RNG, which is committed (with the records)
+  // only once every evaluation has returned: an Init that throws leaves the
+  // engine untouched, so its retry runs like an uninterrupted run.
   Rng rng = rng_;
   const std::vector<Vector> low =
       linalg::latinHypercube(options_.n_init_low, unit_, rng);
@@ -583,7 +581,6 @@ void MfboEngine::handleInit() {
   for (const Vector& u : high) batch.push_back({&u, Fidelity::kHigh});
   evaluateBatch(batch);
   rng_ = std::move(rng);
-  if (!replaying()) traceRunStart("mfbo", *problem_, seed_, options_.budget);
   buildModels();
   transition(EngineState::kFitSurrogate);
 }
@@ -748,8 +745,8 @@ ProposedSlot MfboEngine::proposeSlot(std::size_t slot_index,
     spans::addCounter("bo.mfbo.budget_downgrades");
   }
   // Journal the eq. (11)/(12) outcome: the fidelity schedule is the one
-  // decision an MF-BO operator audits over time, and the trace fields
-  // alone vanish when tracing is off.
+  // decision an MF-BO operator audits over time, and the iteration record
+  // alone vanishes when no observer is set.
   eventlog::record(eventlog::EventKind::kFidelityDecision,
                    f == Fidelity::kHigh ? "high" : "low",
                    downgraded ? "downgraded" : nullptr,
@@ -775,7 +772,7 @@ ProposedSlot MfboEngine::proposeSlot(std::size_t slot_index,
   // computes it on the real models during Observe, as the sequential loop
   // always has.) Reported in linear space; the log form is only the
   // search's ranking.
-  if (slot.on_fantasy && iterationWanted(options_.observer)) {
+  if (slot.on_fantasy && options_.observer) {
     const spans::ScopedSpan observe_span("observe");
     const auto p = highPredictions(models, slot.x);
     slot.acquisition =
@@ -865,8 +862,6 @@ void WeiboEngine::handleInit() {
   for (const Vector& u : designs) batch.push_back({&u, Fidelity::kHigh});
   evaluateBatch(batch);
   rng_ = std::move(rng);
-  if (!replaying())
-    traceRunStart("weibo", *problem_, seed_, options_.max_sims);
   buildModels();
   transition(EngineState::kFitSurrogate);
 }

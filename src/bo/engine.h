@@ -23,11 +23,11 @@
 // must match the proposed fidelity and unit-cube input bit for bit, and
 // every line must be used up exactly. Surrogates, MSP searches and the
 // eq. (11)/(12) decisions are recomputed, never deserialized, so replay
-// followed by run() yields a result and a trace-event suffix
+// followed by run() yields a result and a suffix of iteration records
 // byte-identical to the uninterrupted run at any thread count — the
 // crash/resume harness in tests/test_checkpoint.cpp enforces this at every
-// reachable boundary. Replay mutes only the observer callback and trace
-// emission; everything else, iterationWanted() included, runs as it did.
+// reachable boundary. Replay mutes only the observer callback; everything
+// else, building the iteration records included, runs as it did.
 //
 // Batch proposals (MfboOptions::batch_size = q > 1) use the constant-liar
 // fantasy: the fused surrogates are cloned once per batch, each proposed
@@ -110,8 +110,8 @@ class Engine {
   EngineState state() const { return state_; }
   bool done() const { return state_ == EngineState::kDone; }
 
-  /// Stable algorithm tag ("mfbo", "weibo"): names the run span, the trace
-  /// events, and the session-layer artifacts (src/service).
+  /// Stable algorithm tag ("mfbo", "weibo"): names the run span, the
+  /// iteration records, and the session-layer artifacts (src/service).
   const char* algo() const { return algoName(); }
 
   /// Health-layer progress accessors (src/service/health.h): evaluation
@@ -190,8 +190,8 @@ class Engine {
   virtual Json optionsJson() const = 0;
 
   /// True while replay() re-executes logged steps: the observer callback
-  /// and trace emission stay silent, so a resumed trace is the suffix of
-  /// the uninterrupted one.
+  /// stays silent, so a resumed run's records are the suffix of the
+  /// uninterrupted run's.
   bool replaying() const { return replay_ != nullptr; }
 
   // Shared handlers.

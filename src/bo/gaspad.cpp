@@ -38,7 +38,6 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
   const Box unit = Box::unitCube(d);
   Rng rng(seed);
   const spans::ScopedSpan run_span("gaspad");
-  traceRunStart("gaspad", problem, seed, options_.max_sims);
 
   CostTracker tracker(problem.costRatio());
   std::vector<HistoryEntry> history;
@@ -147,7 +146,7 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
     const bool retrain = options_.retrain_every <= 1 ||
                          iteration % options_.retrain_every == 0;
 
-    if (iterationWanted(options_.observer)) {
+    if (options_.observer) {
       const spans::ScopedSpan observe_span("observe");
       IterationRecord rec;
       rec.algo = "gaspad";
@@ -165,7 +164,7 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
         rec.best_objective = history[*best].eval.objective;
         rec.feasible_found = history[*best].eval.feasible();
       }
-      publishIteration(rec, options_.observer);
+      options_.observer(rec);
     }
 
     if (retrain) {
@@ -179,9 +178,7 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
     }
   }
 
-  SynthesisResult result = finalizeResult(std::move(history), tracker);
-  traceRunEnd("gaspad", result);
-  return result;
+  return finalizeResult(std::move(history), tracker);
 }
 
 }  // namespace mfbo::bo

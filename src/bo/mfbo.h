@@ -52,9 +52,9 @@ struct MfboOptions {
   std::size_t batch_size = 1;
   /// Surrogate override; null = NARGP with the `nargp` config above.
   SurrogateFactory surrogate_factory;
-  /// Optional per-iteration progress callback (live streaming, --verbose).
-  /// Invoked after each loop iteration's evaluation with the full
-  /// fidelity-decision record; independent of the telemetry trace sink.
+  /// Optional per-iteration progress callback (live streaming, --verbose,
+  /// the bench --trace file). Invoked after each loop iteration's
+  /// evaluation with the full fidelity-decision record.
   IterationObserver observer;
 };
 

@@ -1,14 +1,15 @@
 // mfbo — minimal ordered JSON value, built for the telemetry layer.
 //
 // The library emits machine-readable artifacts in two places: the JSONL
-// event trace (telemetry::TraceWriter) and the bench `--out` aggregate
-// files that CI archives as the perf trajectory. Both need deterministic
-// serialization (stable key order, stable number formatting) so that two
-// runs with the same seed produce byte-identical output — a property the
-// telemetry tests assert. Third-party JSON libraries are out of scope for
-// this repo (standard library only), hence this deliberately small value
-// type: null / bool / number / string / array / object, insertion-ordered
-// object keys, a dump() that round-trips through the bundled parse().
+// iteration trace (bo::iterationJson, written by the bench `--trace`
+// observers) and the bench `--out` aggregate files that CI archives as the
+// perf trajectory. Both need deterministic serialization (stable key
+// order, stable number formatting) so that two runs with the same seed
+// produce byte-identical output — a property the telemetry tests assert.
+// Third-party JSON libraries are out of scope for this repo (standard
+// library only), hence this deliberately small value type: null / bool /
+// number / string / array / object, insertion-ordered object keys, a
+// dump() that round-trips through the bundled parse().
 //
 // Numbers are doubles; integral values print without a decimal point.
 // Non-finite doubles serialize as null (JSON has no NaN/Inf).

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "common/check.h"
 #include "common/memstats.h"
@@ -10,15 +9,6 @@
 
 namespace mfbo {
 namespace telemetry {
-
-namespace {
-
-std::atomic<TraceSink*>& sinkSlot() {
-  static std::atomic<TraceSink*> sink{nullptr};
-  return sink;
-}
-
-}  // namespace
 
 std::size_t Histogram::bucketIndex(double seconds) {
   // NaN and sub-minimum samples land in the underflow bucket: the
@@ -108,71 +98,6 @@ Json metricsSnapshot(bool include_timers) {
   if (spans::enabled())
     snapshot.set("spans", spans::snapshot(/*include_timing=*/include_timers));
   return snapshot;
-}
-
-TraceWriter::TraceWriter(const std::string& path)
-    : stream_(std::fopen(path.c_str(), "w")), owns_stream_(true) {
-  if (stream_ == nullptr)
-    throw std::runtime_error("TraceWriter: cannot open '" + path +
-                             "' for writing");
-}
-
-TraceWriter::TraceWriter(std::FILE* stream) : stream_(stream) {
-  MFBO_CHECK(stream_ != nullptr, "null trace stream");
-}
-
-TraceWriter::~TraceWriter() {
-  if (owns_stream_ && stream_ != nullptr) std::fclose(stream_);
-}
-
-void TraceWriter::write(const Json& event) {
-  const std::string line = event.dump();
-  const std::lock_guard<std::mutex> lock(mu_);
-  // Detect short writes and flush failures (ENOSPC, closed pipe, ...): a
-  // dropped event must not count as written, and the operator gets exactly
-  // one stderr warning per writer instead of a silent hole in the trace.
-  const bool ok =
-      std::fwrite(line.data(), 1, line.size(), stream_) == line.size() &&
-      std::fputc('\n', stream_) != EOF && std::fflush(stream_) == 0;
-  if (ok) {
-    ++events_written_;
-    return;
-  }
-  ++write_errors_;
-  if (!warned_) {
-    warned_ = true;
-    std::fprintf(stderr,
-                 "mfbo: warning: trace write failed; further events on this "
-                 "sink may be lost\n");
-  }
-  std::clearerr(stream_);
-}
-
-std::uint64_t TraceWriter::eventsWritten() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return events_written_;
-}
-
-std::uint64_t TraceWriter::writeErrors() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return write_errors_;
-}
-
-void setTraceSink(TraceSink* sink) {
-  sinkSlot().store(sink, std::memory_order_release);
-}
-
-TraceSink* traceSink() {
-  return sinkSlot().load(std::memory_order_acquire);
-}
-
-bool traceEnabled() {
-  return sinkSlot().load(std::memory_order_acquire) != nullptr;
-}
-
-void emitTrace(const Json& event) {
-  if (TraceSink* sink = sinkSlot().load(std::memory_order_acquire))
-    sink->write(event);
 }
 
 }  // namespace telemetry

@@ -1,5 +1,4 @@
-// mfbo — telemetry: latency histograms, the artifact metrics snapshot, and
-// structured tracing.
+// mfbo — telemetry: latency histograms and the artifact metrics snapshot.
 //
 // The BO loop makes every interesting decision silently — the eq. (11)/(12)
 // fidelity choice, MSP restart outcomes, first-feasible switching, Cholesky
@@ -8,8 +7,10 @@
 // span profiler's job (common/spans.h): every library counter is a span
 // counter attributed to the innermost open span, so it is scoped per
 // session and merged across pool workers by the same machinery as the span
-// tree, and it is recorded only while the profiler is on. This header
-// provides the rest:
+// tree, and it is recorded only while the profiler is on. Per-iteration
+// records leave a run only through its bo::IterationObserver, which
+// bo::iterationJson (bo/common.h) serializes as one JSONL trace line. This
+// header provides the rest:
 //
 //   * Histogram — a fixed-bucket latency histogram for the service health
 //     layer's SLO quantiles, fed by ScopedLatency and kept as a plain
@@ -17,28 +18,14 @@
 //   * metricsSnapshot() — the `"metrics"` section of the bench `--out`
 //     artifacts and session artifacts: the process peak RSS when timed and
 //     the calling thread's span tree when the profiler is on.
-//   * Tracing — structured events (JSON objects) routed to an installable
-//     TraceSink. The default sink is null: `traceEnabled()` is a single
-//     pointer test, and every emission site guards event construction behind
-//     it, so an untraced run does no formatting work and produces no output.
-//     TraceWriter is the JSONL file sink (one event per line, flushed);
-//     CollectingTraceSink buffers events in memory for tests and embedders.
 //
-// Histogram updates are relaxed atomics, safe from any thread. Trace sinks
-// remain single-writer by contract — events are emitted only from the
-// serial sections of the synthesis loops — except TraceWriter, which locks
-// per line so embedders tracing from their own threads get whole-line
-// interleaving.
+// Histogram updates are relaxed atomics, safe from any thread.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "common/json.h"
 
@@ -115,83 +102,6 @@ class ScopedLatency {
  private:
   Histogram& histogram_;
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Destination for structured trace events.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void write(const Json& event) = 0;
-};
-
-/// JSONL file sink: one compact JSON object per line, flushed per event so
-/// a crashed run still leaves a readable trace prefix. write() locks per
-/// event, so concurrent writers interleave whole lines, never fragments.
-/// Write failures (ENOSPC, closed pipe, ...) are not silent: writeErrors()
-/// counts every dropped event and the first failure per writer prints one
-/// stderr warning; eventsWritten() counts only events that reached the
-/// stream in full.
-class TraceWriter final : public TraceSink {
- public:
-  /// Opens (truncates) @p path; throws std::runtime_error on failure.
-  explicit TraceWriter(const std::string& path);
-  /// Adopts an already-open stream (not closed on destruction); used to
-  /// trace to stderr or a pipe.
-  explicit TraceWriter(std::FILE* stream);
-  ~TraceWriter() override;
-  TraceWriter(const TraceWriter&) = delete;
-  TraceWriter& operator=(const TraceWriter&) = delete;
-
-  void write(const Json& event) override;
-  /// Events fully written and flushed to the stream.
-  std::uint64_t eventsWritten() const;
-  /// Events dropped (partially written or unflushed) because the stream
-  /// reported an error.
-  std::uint64_t writeErrors() const;
-
- private:
-  mutable std::mutex mu_;
-  std::FILE* stream_ = nullptr;
-  bool owns_stream_ = false;
-  bool warned_ = false;
-  std::uint64_t events_written_ = 0;
-  std::uint64_t write_errors_ = 0;
-};
-
-/// In-memory sink for tests and embedders that post-process events.
-/// Single-writer by the trace-emission contract (events come from the
-/// serial sections of the synthesis loops, never from parallel workers).
-class CollectingTraceSink final : public TraceSink {
- public:
-  void write(const Json& event) override { events.push_back(event); }
-  std::vector<Json> events;
-};
-
-/// Install (or, with nullptr, remove) the process-wide trace sink. The sink
-/// is borrowed, not owned; the caller keeps it alive while installed.
-void setTraceSink(TraceSink* sink);
-TraceSink* traceSink();
-
-/// True when a sink is installed. Emission sites use this to skip event
-/// construction entirely on untraced runs.
-bool traceEnabled();
-
-/// Route an event to the installed sink; no-op without one.
-void emitTrace(const Json& event);
-
-/// RAII sink installation for scoped tracing (tests, bench runs): installs
-/// @p sink on construction, restores the previous sink on destruction.
-class ScopedTraceSink {
- public:
-  explicit ScopedTraceSink(TraceSink* sink) : previous_(traceSink()) {
-    setTraceSink(sink);
-  }
-  ScopedTraceSink(const ScopedTraceSink&) = delete;
-  ScopedTraceSink& operator=(const ScopedTraceSink&) = delete;
-  ~ScopedTraceSink() { setTraceSink(previous_); }
-
- private:
-  TraceSink* previous_;
 };
 
 }  // namespace telemetry

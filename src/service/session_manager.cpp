@@ -13,7 +13,6 @@
 #include "common/eventlog.h"
 #include "common/memstats.h"
 #include "common/parallel.h"
-#include "common/telemetry.h"
 
 namespace mfbo::service {
 
@@ -162,9 +161,9 @@ std::size_t SessionManager::stepRound() {
     }
   };
   // One pool task per session; regions nested in a step run inline on its
-  // thread. A lone session keeps the pool for its own regions, and trace
-  // events go to one process-wide sink, so both step on this thread.
-  if (running.size() >= 2 && !telemetry::traceEnabled()) {
+  // thread. A lone session keeps the pool for its own regions, so it steps
+  // on this thread.
+  if (running.size() >= 2) {
     parallel::parallelFor(running.size(), step);
   } else {
     for (std::size_t i = 0; i < running.size(); ++i) step(i);

@@ -5,11 +5,10 @@
 // steps every runnable session exactly once, each step one pool task
 // (common/parallel.h) whose nested regions run inline on its thread, then
 // persists the sessions in creation order; runAll() repeats rounds until
-// nothing is runnable. A lone running session, or a round while a trace
-// sink is installed, steps on the calling thread (the session keeps the
-// pool for its own regions; trace events keep creation order). A step
-// computes the same bytes on any thread, so results, artifacts and
-// journals are identical at any thread count.
+// nothing is runnable. A lone running session steps on the calling thread,
+// so it keeps the pool for its own regions. A step computes the same bytes
+// on any thread, so results, artifacts, journals and each session's
+// iteration records are identical at any thread count.
 //
 // Fairness contract (pinned by tests/test_session_manager.cpp): after any
 // number of rounds, the step counts of the still-running sessions differ

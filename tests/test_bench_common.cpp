@@ -1,5 +1,6 @@
 // Tests for the bench-harness helpers: bestHighIndex / costToReachBest
-// edge cases, the hardened argument parser, and the --out JSON artifact.
+// edge cases, the hardened argument parser, the --out JSON artifact, and
+// --trace file write failures.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include "bo/result.h"
 #include "common/json.h"
 #include "common/timeline.h"
+#include "problems/synthetic.h"
 
 namespace {
 
@@ -261,16 +263,18 @@ TEST(ParseArgs, SpansFlagEnablesProfiler) {
 }
 
 TEST(ParseArgs, TraceFlagOpensWriterAndInstallsSink) {
+  // --trace opens its file while parsing and keeps it open in the config,
+  // where runRepeats and runOnce append their runs.
   const std::string path = "test_bench_trace.jsonl";
+  std::ofstream(path) << "stale line\n";
   {
     const bench::BenchConfig cfg = parse({"--trace", path});
     EXPECT_EQ(cfg.trace, path);
-    ASSERT_NE(cfg.trace_writer, nullptr);
-    EXPECT_EQ(telemetry::traceSink(), cfg.trace_writer.get());
-    telemetry::setTraceSink(nullptr);  // before the writer is destroyed
+    EXPECT_NE(cfg.trace_file, nullptr);
   }
   std::ifstream in(path);
   EXPECT_TRUE(in.good());  // the file was created (and truncated) up front
+  EXPECT_EQ(in.peek(), std::ifstream::traits_type::eof());
   std::remove(path.c_str());
 }
 
@@ -383,6 +387,26 @@ TEST(ArtifactDeath, UnopenablePathExitsNamingThePath) {
   EXPECT_EXIT(bench::writeFileOrExit("no_such_dir/fixture.json", "{}"),
               ::testing::ExitedWithCode(1),
               "cannot open 'no_such_dir/fixture.json'");
+}
+
+// A trace the bench cannot write must not pass silently: /dev/full takes
+// the open but fails the flush, and runRepeats must name the path and exit
+// 1, like writeFileOrExit.
+TEST(RunRepeatsDeath, FailedTraceWriteExits1) {
+  std::FILE* full = std::fopen("/dev/full", "w");
+  if (full == nullptr) GTEST_SKIP() << "/dev/full unavailable";
+  std::fclose(full);
+  // runRepeats uses the pool, which a forked death-test child lacks.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const bench::BenchConfig cfg = parse({"--trace", "/dev/full"});
+  bo::DeBaselineOptions tiny;
+  tiny.population = 4;
+  tiny.max_sims = 8.0;
+  bench::AlgoStats stats{"de"};
+  EXPECT_EXIT(bench::runRepeats(
+                  stats, bo::DeBaseline(tiny),
+                  [] { return problems::ForresterProblem(); }, 2, cfg),
+              ::testing::ExitedWithCode(1), "failed to write '/dev/full'");
 }
 
 TEST(Artifact, NoOutPathIsNoOp) {

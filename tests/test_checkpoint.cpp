@@ -1,9 +1,10 @@
 // Crash/resume differential harness for the engine's run log: kill the
 // optimizer at EVERY reachable state boundary, replay the log persisted up
 // to it into a fresh engine, drive it to completion, and require the final
-// result and the trace-event *suffix* to be byte-identical to the
-// uninterrupted run — serial and at 4 threads, for MFBO (q ∈ {1, 2, 4})
-// and WEIBO. Plus the corruption battery — torn and checksum-failing
+// result and the *suffix* of the observer's iteration records to be
+// byte-identical to the uninterrupted run's — serial and at 4 threads,
+// for MFBO (q ∈ {1, 2, 4}) and WEIBO. Plus the corruption battery — torn
+// and checksum-failing
 // lines, header drift (format, version, algo, seed, problem, options),
 // missing, extra and out-of-range fields, evaluations that differ from
 // the replayed proposals, unconsumed evaluations, step counts beyond the
@@ -30,7 +31,6 @@
 #include "common/check.h"
 #include "common/json.h"
 #include "common/parallel.h"
-#include "common/telemetry.h"
 #include "linalg/rng.h"
 #include "problems/synthetic.h"
 #include "service/session_manager.h"
@@ -85,13 +85,23 @@ problems::ConstrainedQuadraticProblem tinyProblem() {
   return problems::ConstrainedQuadraticProblem(2);
 }
 
-/// Uninterrupted reference run, with the run log and a trace-position mark
-/// at every state boundary along the way. logs[k] is what a manager
+/// @p options with an observer appending each iteration record's
+/// iterationJson dump to @p events.
+template <typename Options>
+Options observed(Options options, std::vector<std::string>& events) {
+  options.observer = [&events](const bo::IterationRecord& r) {
+    events.push_back(bo::iterationJson(r).dump());
+  };
+  return options;
+}
+
+/// Uninterrupted reference run, with the run log and a record-position
+/// mark at every state boundary along the way. logs[k] is what a manager
 /// persisting every step holds after k steps.
 struct ReferenceRun {
   std::vector<std::string> logs;           ///< one per boundary
-  std::vector<std::size_t> trace_marks;    ///< events emitted before it
-  std::vector<std::string> events;         ///< full trace, one dump per event
+  std::vector<std::size_t> trace_marks;    ///< records observed before it
+  std::vector<std::string> events;         ///< every record, one dump each
   std::string result;                      ///< final result JSON bytes
 };
 
@@ -99,15 +109,13 @@ template <typename Engine, typename Options>
 ReferenceRun referenceRun(const Options& options, std::uint64_t seed,
                           std::size_t persist_every = 1) {
   auto problem = tinyProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  Engine engine(problem, seed, options);
   ReferenceRun out;
+  Engine engine(problem, seed, observed(options, out.events));
   std::string log = engine.logHeader();
   std::size_t persisted = 0;
   while (!engine.done()) {
     out.logs.push_back(log);
-    out.trace_marks.push_back(sink.events.size());
+    out.trace_marks.push_back(out.events.size());
     engine.step();
     if (!engine.done() && engine.steps() % persist_every == 0) {
       log += engine.logRecord(persisted);
@@ -115,29 +123,25 @@ ReferenceRun referenceRun(const Options& options, std::uint64_t seed,
     }
   }
   out.result = bo::synthesisResultToJson(engine.takeResult()).dump();
-  for (const Json& event : sink.events) out.events.push_back(event.dump());
   return out;
 }
 
 /// Replay @p log into a fresh engine, run to completion, and return
-/// {result bytes, trace events}.
+/// {result bytes, observed records}.
 template <typename Engine, typename Options>
 std::pair<std::string, std::vector<std::string>> resumedRun(
     const Options& options, std::uint64_t seed, const std::string& log) {
   auto problem = tinyProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  Engine engine(problem, seed, options);
+  std::vector<std::string> events;
+  Engine engine(problem, seed, observed(options, events));
   engine.replay(log);
   const std::string result =
       bo::synthesisResultToJson(engine.run()).dump();
-  std::vector<std::string> events;
-  for (const Json& event : sink.events) events.push_back(event.dump());
   return {result, events};
 }
 
 /// The differential: for every boundary's log of the reference run,
-/// resume and require byte-identical result + trace suffix.
+/// resume and require byte-identical result + iteration-record suffix.
 template <typename Engine, typename Options>
 void killResumeSweep(const Options& options, std::uint64_t seed,
                      const char* label) {

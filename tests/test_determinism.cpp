@@ -20,7 +20,6 @@
 #include "bo/mfbo.h"
 #include "common/parallel.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 #include "common/timeline.h"
 #include "gp/gp_regressor.h"
 #include "linalg/rng.h"
@@ -172,19 +171,16 @@ bo::MfboOptions smallMfboOptions() {
   return opt;
 }
 
-/// One traced synthesis run: returns the result plus the full trace,
-/// serialized to the exact bytes a JSONL TraceWriter would emit.
+/// One traced synthesis run: returns the result plus the JSONL bytes of
+/// its observer's iterationJson lines.
 std::pair<bo::SynthesisResult, std::string> tracedRun(std::uint64_t seed) {
   problems::ConstrainedQuadraticProblem problem(2);
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  bo::SynthesisResult result =
-      bo::MfboSynthesizer(smallMfboOptions()).run(problem, seed);
   std::string trace;
-  for (const Json& event : sink.events) {
-    trace += event.dump();
-    trace += '\n';
-  }
+  bo::MfboOptions options = smallMfboOptions();
+  options.observer = [&trace](const bo::IterationRecord& r) {
+    trace += bo::iterationJson(r).dump() + '\n';
+  };
+  bo::SynthesisResult result = bo::MfboSynthesizer(options).run(problem, seed);
   return {std::move(result), std::move(trace)};
 }
 
@@ -333,23 +329,32 @@ TEST(BenchDeterminism, TimelineRecordingLeavesArtifactBytesUntouched) {
       << "recording a timeline perturbed the deterministic artifact";
 }
 
-/// runRepeats with a JSONL trace file installed, as a bench's --trace
-/// does: returns the bytes the file received.
-std::string repeatTraceBytes(const std::string& path) {
-  bench::BenchConfig cfg;
-  cfg.seed = 42;
-  cfg.timing = false;
+/// Runs @p body with the config a bench's `--trace PATH` (seed 42) parses
+/// to: returns the bytes the trace file received.
+template <typename Body>
+std::string traceBytes(std::string path, Body body) {
   {
-    telemetry::TraceWriter writer(path);
-    const telemetry::ScopedTraceSink scope(&writer);
+    std::string prog = "determinism";
+    std::string flag = "--trace";
+    char* argv[] = {prog.data(), flag.data(), path.data()};
+    bench::BenchConfig cfg = bench::parseArgs(3, argv);
+    cfg.seed = 42;
+    cfg.timing = false;
+    body(cfg);
+  }  // the last copy of the config closes the file
+  const std::string bytes = readFile(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// Three traced runRepeats repeats, seeds 42-44.
+std::string repeatTraceBytes(std::string path) {
+  return traceBytes(std::move(path), [](const bench::BenchConfig& cfg) {
     bench::AlgoStats stats{"mfbo"};
     const auto fresh = [] { return problems::ConstrainedQuadraticProblem(2); };
     bench::runRepeats(stats, bo::MfboSynthesizer(smallMfboOptions()), fresh,
                       /*runs=*/3, cfg);
-  }
-  const std::string bytes = readFile(path);
-  std::remove(path.c_str());
-  return bytes;
+  });
 }
 
 TEST(BenchDeterminism, TraceBytesMatchAcrossThreadCounts) {
@@ -384,6 +389,21 @@ TEST(BenchDeterminism, TraceBytesMatchAcrossThreadCounts) {
   EXPECT_EQ(seeds, (std::vector<double>{42.0, 43.0, 44.0}));
   for (std::size_t r = 0; r < iterations.size(); ++r)
     EXPECT_GT(iterations[r], 0u) << "run " << r;
+}
+
+TEST(BenchDeterminism, RunOnceTracesLikeRunRepeats) {
+  // The ablations that loop over their runs by hand trace each one through
+  // runOnce: the file must hold the lines runRepeats writes for the seeds.
+  const std::string once =
+      traceBytes("det_trace_once.jsonl", [](const bench::BenchConfig& cfg) {
+        for (std::uint64_t seed = 42; seed < 45; ++seed) {
+          problems::ConstrainedQuadraticProblem problem(2);
+          (void)bench::runOnce(cfg, bo::MfboSynthesizer(smallMfboOptions()),
+                               problem, seed);
+        }
+      });
+  EXPECT_NE(once.find("\"type\":\"iteration\""), std::string::npos);
+  EXPECT_EQ(once, repeatTraceBytes("det_trace_repeats.jsonl"));
 }
 
 TEST(BenchDeterminism, RunRepeatsMatchesSequentialAddLoop) {

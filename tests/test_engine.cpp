@@ -21,7 +21,6 @@
 #include "bo/weibo.h"
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/telemetry.h"
 #include "problems/synthetic.h"
 
 namespace {
@@ -70,24 +69,28 @@ problems::ConstrainedQuadraticProblem quickProblem() {
   return problems::ConstrainedQuadraticProblem(2);
 }
 
-/// Result + the exact JSONL trace bytes the run emitted.
+/// Result + the exact JSONL trace bytes of the run's iteration records.
 struct RunArtifacts {
   std::string result;
   std::string trace;
 };
 
+/// Observer appending each record's iterationJson line to @p trace.
+bo::IterationObserver jsonlObserver(std::string& trace) {
+  return [&trace](const bo::IterationRecord& r) {
+    trace += bo::iterationJson(r).dump() + '\n';
+  };
+}
+
+/// Run a copy of @p synthesizer whose observer records the trace.
 template <typename Synthesizer>
 RunArtifacts tracedRun(const Synthesizer& synthesizer, std::uint64_t seed) {
   auto problem = quickProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  const bo::SynthesisResult result = synthesizer.run(problem, seed);
   RunArtifacts out;
+  auto options = synthesizer.options();
+  options.observer = jsonlObserver(out.trace);
+  const bo::SynthesisResult result = Synthesizer(options).run(problem, seed);
   out.result = bo::synthesisResultToJson(result).dump();
-  for (const Json& event : sink.events) {
-    out.trace += event.dump();
-    out.trace += '\n';
-  }
   return out;
 }
 
@@ -193,16 +196,12 @@ TEST(EngineMachine, ManualSteppingMatchesRun) {
   };
   const auto via_steps = [] {
     auto problem = quickProblem();
-    telemetry::CollectingTraceSink sink;
-    const telemetry::ScopedTraceSink scope(&sink);
-    bo::MfboEngine engine(problem, 3, quickMfboOptions());
-    while (!engine.done()) engine.step();
     RunArtifacts out;
+    bo::MfboOptions options = quickMfboOptions();
+    options.observer = jsonlObserver(out.trace);
+    bo::MfboEngine engine(problem, 3, options);
+    while (!engine.done()) engine.step();
     out.result = bo::synthesisResultToJson(engine.takeResult()).dump();
-    for (const Json& event : sink.events) {
-      out.trace += event.dump();
-      out.trace += '\n';
-    }
     return out;
   };
   const RunArtifacts a = withThreads(1, via_run);
@@ -216,11 +215,13 @@ TEST(EngineMachine, MakeEngineDrivesTheSameRunAsTheSynthesizer) {
   const RunArtifacts direct = tracedRun(synthesizer, 5);
 
   auto problem = quickProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
+  std::string trace;
+  bo::MfboOptions options = synthesizer.options();
+  options.observer = jsonlObserver(trace);
   const bo::SynthesisResult result =
-      synthesizer.makeEngine(problem, 5)->run();
+      bo::MfboSynthesizer(options).makeEngine(problem, 5)->run();
   EXPECT_EQ(direct.result, bo::synthesisResultToJson(result).dump());
+  EXPECT_EQ(direct.trace, trace);
 }
 
 TEST(EngineMachine, WeiboRunsOnTheSameSkeleton) {
@@ -349,13 +350,12 @@ TEST(EngineBatch, IterationRecordsCountEverySlot) {
   // q=3 must publish one iteration record per slot, numbered 1..n without
   // gaps, and fantasy slots must carry a finite acquisition value.
   auto problem = quickProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  bo::MfboSynthesizer(quickMfboOptions(3)).run(problem, 3);
+  bo::MfboOptions options = quickMfboOptions(3);
   std::vector<double> iterations;
-  for (const Json& event : sink.events)
-    if (event.at("type").asString() == "iteration")
-      iterations.push_back(event.at("iter").asNumber());
+  options.observer = [&iterations](const bo::IterationRecord& r) {
+    iterations.push_back(bo::iterationJson(r).at("iter").asNumber());
+  };
+  bo::MfboSynthesizer(options).run(problem, 3);
   ASSERT_FALSE(iterations.empty());
   for (std::size_t i = 0; i < iterations.size(); ++i)
     EXPECT_EQ(iterations[i], static_cast<double>(i + 1));
@@ -413,23 +413,21 @@ class ThrowOnceProblem final : public bo::Problem {
 
 /// Result and trace of a run whose first step() throws once and is then
 /// retried, the engine stepped by hand to completion.
-template <typename MakeEngine>
-RunArtifacts runWithOneThrowingInit(MakeEngine make_engine) {
+template <typename Synthesizer>
+RunArtifacts runWithOneThrowingInit(const Synthesizer& synthesizer,
+                                    std::uint64_t seed) {
   ThrowOnceProblem problem(3);
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  const std::unique_ptr<bo::Engine> engine = make_engine(problem);
+  RunArtifacts out;
+  auto options = synthesizer.options();
+  options.observer = jsonlObserver(out.trace);
+  const std::unique_ptr<bo::Engine> engine =
+      Synthesizer(options).makeEngine(problem, seed);
   EXPECT_THROW(engine->step(), std::runtime_error);
   EXPECT_EQ(engine->state(), EngineState::kInit);
   EXPECT_EQ(engine->evaluations(), 0u);
   EXPECT_EQ(engine->steps(), 0u);
   while (!engine->done()) engine->step();
-  RunArtifacts out;
   out.result = bo::synthesisResultToJson(engine->takeResult()).dump();
-  for (const Json& event : sink.events) {
-    out.trace += event.dump();
-    out.trace += '\n';
-  }
   return out;
 }
 
@@ -440,20 +438,14 @@ TEST(EngineInit, ThrowingEvaluationRetriesLikeAnUninterruptedRun) {
     const RunArtifacts mfbo_reference =
         tracedRun(bo::MfboSynthesizer(quickMfboOptions()), 9);
     const RunArtifacts mfbo_retried =
-        runWithOneThrowingInit([](bo::Problem& problem) {
-          return std::make_unique<bo::MfboEngine>(problem, 9,
-                                                  quickMfboOptions());
-        });
+        runWithOneThrowingInit(bo::MfboSynthesizer(quickMfboOptions()), 9);
     EXPECT_EQ(mfbo_retried.result, mfbo_reference.result);
     EXPECT_EQ(mfbo_retried.trace, mfbo_reference.trace);
 
     const RunArtifacts weibo_reference =
         tracedRun(bo::Weibo(quickWeiboOptions()), 9);
     const RunArtifacts weibo_retried =
-        runWithOneThrowingInit([](bo::Problem& problem) {
-          return std::make_unique<bo::WeiboEngine>(problem, 9,
-                                                   quickWeiboOptions());
-        });
+        runWithOneThrowingInit(bo::Weibo(quickWeiboOptions()), 9);
     EXPECT_EQ(weibo_retried.result, weibo_reference.result);
     EXPECT_EQ(weibo_retried.trace, weibo_reference.trace);
   }

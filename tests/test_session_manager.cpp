@@ -2,12 +2,12 @@
 // (no session starves another), solo-vs-8-concurrent byte-identity of the
 // --no-timing artifacts at 1 and 4 threads (the per-session span arena and
 // its counters in action), the round's fan-out over the pool (one pooled
-// region per round, serial rounds while tracing, failures that leave the
-// rest of the round stepped and persisted, journal slots claimed in
-// creation order), kill-at-every-scheduler-boundary crash recovery
-// through the persisted run logs (torn final lines, failed appends and
-// unreadable recovery files included), completed-run adoption from result
-// documents, and the pause/resume/destroy lifecycle contracts.
+// region per round, observed sessions with their own records, failures
+// that leave the rest of the round stepped and persisted, journal slots
+// claimed in creation order), kill-at-every-scheduler-boundary crash
+// recovery through the persisted run logs (torn final lines, failed
+// appends and unreadable recovery files included), completed-run adoption
+// from result documents, and the pause/resume/destroy lifecycle contracts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +31,6 @@
 #include "common/json.h"
 #include "common/parallel.h"
 #include "common/spans.h"
-#include "common/telemetry.h"
 #include "problems/synthetic.h"
 #include "service/session_manager.h"
 
@@ -356,38 +355,57 @@ TEST(SessionManager, ALoneSessionKeepsThePoolForItsOwnRegions) {
   EXPECT_GT(parallel::poolStats().pooled_regions - before, 0u);
 }
 
-TEST(SessionManager, TracedRoundsStepSeriallyInCreationOrder) {
-  // Trace events go to one process-wide sink, so a round steps on the
-  // calling thread while one is installed: the events equal those of a
-  // hand-written creation-order round at any thread count.
-  const auto traced = [](std::size_t n_threads, bool by_hand) {
+TEST(SessionManager, ObservedSessionsStepConcurrentlyWithTheirOwnRecords) {
+  // Each session's observer writes its own JSONL stream, so observed rounds
+  // fan out like any others, and every stream equals the one a
+  // hand-written creation-order round produces, at any thread count.
+  const auto observed = [](std::size_t n_threads, bool by_hand) {
     const ScopedThreads threads(n_threads);
-    telemetry::CollectingTraceSink sink;
-    const telemetry::ScopedTraceSink install(&sink);
+    std::vector<std::string> streams(4);
     SessionManager manager;
-    for (std::size_t i = 0; i < 4; ++i)
-      manager.create(makeSpec("t" + std::to_string(i), 300 + i, 1 + i % 2));
-    if (by_hand) {
-      for (bool any = true; any;) {
-        any = false;
+    for (std::size_t i = 0; i < 4; ++i) {
+      SessionSpec spec = makeSpec("t" + std::to_string(i), 300 + i);
+      spec.engine = [&stream = streams[i], seed = 300 + i,
+                     q = 1 + i % 2](bo::Problem& problem) {
+        bo::MfboOptions options = sessionOptions(q);
+        options.observer = [&stream](const bo::IterationRecord& r) {
+          stream += bo::iterationJson(r).dump() + '\n';
+        };
+        return std::make_unique<bo::MfboEngine>(problem, seed, options);
+      };
+      manager.create(std::move(spec));
+    }
+    std::size_t fanned_out = 0;
+    for (;;) {
+      const std::size_t running = runningCount(manager);
+      const std::uint64_t before = parallel::poolStats().pooled_regions;
+      if (by_hand) {
+        if (running == 0) break;
         for (const std::string& id : manager.ids()) {
           Session& session = manager.session(id);
-          if (session.status() != SessionStatus::kRunning) continue;
-          session.step();
-          any = true;
+          if (session.status() == SessionStatus::kRunning) session.step();
         }
+        continue;
       }
-    } else {
-      manager.runAll();
+      if (manager.stepRound() == 0) break;
+      if (running < 2 || n_threads < 2) continue;
+      // The round is one pooled region; the steps' own regions run inline.
+      ++fanned_out;
+      EXPECT_EQ(parallel::poolStats().pooled_regions - before, 1u)
+          << "round " << manager.roundsCompleted();
     }
-    std::string events;
-    for (const Json& event : sink.events) events += event.dump() + "\n";
-    return events;
+    if (!by_hand && n_threads > 1) {
+      EXPECT_GT(fanned_out, 0u);
+    }
+    return streams;
   };
-  const std::string reference = traced(1, /*by_hand=*/true);
-  EXPECT_NE(reference.find("\"type\":\"iteration\""), std::string::npos);
-  EXPECT_EQ(traced(1, false), reference);
-  EXPECT_EQ(traced(4, false), reference);
+  const std::vector<std::string> reference = observed(1, /*by_hand=*/true);
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    EXPECT_NE(reference[i].find("\"type\":\"iteration\""),
+              std::string::npos)
+        << "session " << i;
+  EXPECT_EQ(observed(1, false), reference);
+  EXPECT_EQ(observed(4, false), reference);
 }
 
 /// ConstrainedQuadraticProblem that throws std::runtime_error(@p label)

@@ -377,38 +377,38 @@ void validateSpanNode(const Json& node, bool timing) {
 TEST(SpanGoldenSchema, MetricsSnapshotAndTraceKeysDoNotDrift) {
   spans::reset();
   spans::setEnabled(true);
-  telemetry::CollectingTraceSink sink;
-  {
-    const telemetry::ScopedTraceSink scoped(&sink);
-    problems::ConstrainedQuadraticProblem problem(2);
-    bo::MfboOptions options;
-    options.budget = 6.0;
-    options.n_init_low = 6;
-    options.n_init_high = 3;
-    options.nargp.n_mc = 16;
-    options.msp.n_starts = 2;
-    options.msp.local.max_evaluations = 30;
-    options.gamma = 0.1;
-    const bo::MfboSynthesizer synthesizer(options);
-    (void)synthesizer.run(problem, 11);
-  }
+  problems::ConstrainedQuadraticProblem problem(2);
+  bo::MfboOptions options;
+  options.budget = 6.0;
+  options.n_init_low = 6;
+  options.n_init_high = 3;
+  options.nargp.n_mc = 16;
+  options.msp.n_starts = 2;
+  options.msp.local.max_evaluations = 30;
+  options.gamma = 0.1;
+  std::vector<Json> iterations;
+  options.observer = [&iterations](const bo::IterationRecord& r) {
+    iterations.push_back(bo::iterationJson(r));
+  };
+  const bo::SynthesisResult result =
+      bo::MfboSynthesizer(options).run(problem, 11);
 
-  // Trace: first event is run_start, last is run_end, the middle ones are
-  // iterations carrying the fidelity-decision fields the report plots.
-  ASSERT_GE(sink.events.size(), 3u);
-  const Json& start = sink.events.front();
+  // Trace: a run_start line, iterations carrying the fidelity-decision
+  // fields the report plots, and a run_end line.
+  ASSERT_FALSE(iterations.empty());
+  const Json start = bo::runStartJson("mfbo", problem, 11, options.budget);
   EXPECT_EQ(start.at("type").asString(), "run_start");
   for (const char* key : {"algo", "problem", "dim", "num_constraints",
                           "cost_ratio", "budget", "seed"})
     EXPECT_TRUE(start.contains(key)) << "run_start lost key: " << key;
-  const Json& iter = sink.events[1];
+  const Json& iter = iterations.front();
   EXPECT_EQ(iter.at("type").asString(), "iteration");
   for (const char* key :
        {"algo", "iter", "fidelity", "acq", "tau_l", "tau_h", "max_norm_var",
         "threshold", "norm_low_var", "x", "objective", "feasible",
         "best_objective", "feasible_found", "cost"})
     EXPECT_TRUE(iter.contains(key)) << "iteration lost key: " << key;
-  const Json& end = sink.events.back();
+  const Json end = bo::runEndJson("mfbo", result);
   EXPECT_EQ(end.at("type").asString(), "run_end");
   for (const char* key : {"algo", "best_objective", "feasible_found",
                           "n_low", "n_high", "equivalent_high_sims"})

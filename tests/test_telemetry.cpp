@@ -1,13 +1,11 @@
 // Tests for the telemetry subsystem: the Json value type, counters and the
-// metrics snapshot, and the trace-sink plumbing — including the end-to-end
-// guarantees the benches rely on: one `iteration` event per synthesis-loop
-// iteration, byte-identical traces across same-seed runs, and zero output
-// (and unchanged results) when no sink is installed.
+// metrics snapshot, and the iteration trace a run's observer feeds —
+// including the end-to-end guarantees the benches rely on: one `iteration`
+// event per synthesis-loop iteration, byte-identical traces across
+// same-seed runs, and unchanged results whether or not a run is traced.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -141,22 +139,7 @@ TEST(Metrics, SnapshotContainsRegisteredMetrics) {
   EXPECT_EQ(telemetry::metricsSnapshot(false).dump(), "{}");
 }
 
-// --- Trace sinks --------------------------------------------------------
-
-TEST(Trace, DisabledByDefaultAndScopedInstall) {
-  EXPECT_FALSE(telemetry::traceEnabled());
-  telemetry::CollectingTraceSink sink;
-  {
-    telemetry::ScopedTraceSink scope(&sink);
-    EXPECT_TRUE(telemetry::traceEnabled());
-    Json e = Json::object();
-    e.set("type", "test");
-    telemetry::emitTrace(e);
-  }
-  EXPECT_FALSE(telemetry::traceEnabled());
-  ASSERT_EQ(sink.events.size(), 1u);
-  EXPECT_EQ(sink.events[0].at("type").asString(), "test");
-}
+// --- Iteration traces ---------------------------------------------------
 
 bo::MfboOptions tinyMfbo() {
   bo::MfboOptions o;
@@ -171,10 +154,28 @@ bo::MfboOptions tinyMfbo() {
   return o;
 }
 
+/// One MFBO run traced the way a bench's --trace traces it: its run_start
+/// line, one iterationJson line per observer call, its run_end line.
+std::string tracedRunJsonl(bo::MfboOptions options, std::uint64_t seed,
+                           bo::SynthesisResult* result = nullptr) {
+  problems::ForresterProblem problem;
+  std::string trace =
+      bo::runStartJson("mfbo", problem, seed, options.budget).dump() + '\n';
+  options.observer = [&trace](const bo::IterationRecord& r) {
+    trace += bo::iterationJson(r).dump() + '\n';
+  };
+  const bo::SynthesisResult run =
+      bo::MfboSynthesizer(options).run(problem, seed);
+  trace += bo::runEndJson("mfbo", run).dump() + '\n';
+  if (result != nullptr) *result = run;
+  return trace;
+}
+
 TEST(Trace, MfboEmitsOneIterationEventPerLoopIteration) {
   problems::ForresterProblem problem;
   bo::MfboOptions options = tinyMfbo();
   std::size_t observer_calls = 0;
+  std::vector<Json> events;
   options.observer = [&](const bo::IterationRecord& r) {
     ++observer_calls;
     EXPECT_EQ(r.algo, "mfbo");
@@ -183,71 +184,47 @@ TEST(Trace, MfboEmitsOneIterationEventPerLoopIteration) {
     ASSERT_NE(r.eval, nullptr);
     EXPECT_TRUE(std::isfinite(r.max_norm_var));
     EXPECT_TRUE(std::isfinite(r.threshold));
+    events.push_back(bo::iterationJson(r));
   };
-
-  telemetry::CollectingTraceSink sink;
-  telemetry::ScopedTraceSink scope(&sink);
-  bo::MfboSynthesizer(options).run(problem, 3);
+  const bo::SynthesisResult result =
+      bo::MfboSynthesizer(options).run(problem, 3);
 
   ASSERT_GT(observer_calls, 0u);
-  std::size_t iteration_events = 0, run_starts = 0, run_ends = 0;
-  for (const Json& e : sink.events) {
-    const std::string& type = e.at("type").asString();
-    if (type == "iteration") {
-      ++iteration_events;
-      EXPECT_EQ(e.at("algo").asString(), "mfbo");
-      for (const char* key :
-           {"iter", "fidelity", "max_norm_var", "threshold", "norm_low_var",
-            "x_star_l", "x", "objective", "best_objective", "cost"})
-        EXPECT_TRUE(e.contains(key)) << "missing key " << key;
-    } else if (type == "run_start") {
-      ++run_starts;
-      EXPECT_EQ(e.at("problem").asString(), "forrester");
-    } else if (type == "run_end") {
-      ++run_ends;
-      EXPECT_TRUE(e.contains("best_objective"));
-    }
+  EXPECT_EQ(events.size(), observer_calls);
+  for (const Json& e : events) {
+    EXPECT_EQ(e.at("type").asString(), "iteration");
+    EXPECT_EQ(e.at("algo").asString(), "mfbo");
+    for (const char* key :
+         {"iter", "fidelity", "max_norm_var", "threshold", "norm_low_var",
+          "x_star_l", "x", "objective", "best_objective", "cost"})
+      EXPECT_TRUE(e.contains(key)) << "missing key " << key;
   }
-  EXPECT_EQ(iteration_events, observer_calls);
-  EXPECT_EQ(run_starts, 1u);
-  EXPECT_EQ(run_ends, 1u);
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+  const Json start = bo::runStartJson("mfbo", problem, 3, options.budget);
+  EXPECT_EQ(start.at("type").asString(), "run_start");
+  EXPECT_EQ(start.at("problem").asString(), "forrester");
+  const Json end = bo::runEndJson("mfbo", result);
+  EXPECT_EQ(end.at("type").asString(), "run_end");
+  EXPECT_TRUE(end.contains("best_objective"));
 }
 
 TEST(Trace, SameSeedRunsProduceByteIdenticalJsonl) {
-  problems::ForresterProblem problem;
-  const bo::MfboOptions options = tinyMfbo();
-  const std::string path1 = "test_telemetry_trace1.jsonl";
-  const std::string path2 = "test_telemetry_trace2.jsonl";
-
-  for (const std::string& path : {path1, path2}) {
-    telemetry::TraceWriter writer(path);
-    telemetry::ScopedTraceSink scope(&writer);
-    bo::MfboSynthesizer(options).run(problem, 11);
-    EXPECT_GT(writer.eventsWritten(), 2u);
-  }
-
-  const std::string trace1 = readFile(path1);
-  const std::string trace2 = readFile(path2);
+  const std::string trace1 = tracedRunJsonl(tinyMfbo(), 11);
+  const std::string trace2 = tracedRunJsonl(tinyMfbo(), 11);
   ASSERT_FALSE(trace1.empty());
   EXPECT_EQ(trace1, trace2);
 
-  // Every line is a standalone JSON object.
+  // Every line is a standalone JSON object; the run has iterations
+  // between its run_start and run_end lines.
   std::istringstream lines(trace1);
   std::string line;
+  std::size_t n_lines = 0;
   while (std::getline(lines, line)) {
+    ++n_lines;
     const Json e = Json::parse(line);
     EXPECT_TRUE(e.isObject());
     EXPECT_TRUE(e.contains("type"));
   }
-  std::remove(path1.c_str());
-  std::remove(path2.c_str());
+  EXPECT_GT(n_lines, 2u);
 }
 
 TEST(Trace, TracingDoesNotPerturbResults) {
@@ -257,74 +234,14 @@ TEST(Trace, TracingDoesNotPerturbResults) {
   const bo::SynthesisResult plain =
       bo::MfboSynthesizer(options).run(problem, 5);
 
-  telemetry::CollectingTraceSink sink;
   bo::SynthesisResult traced;
-  {
-    telemetry::ScopedTraceSink scope(&sink);
-    traced = bo::MfboSynthesizer(options).run(problem, 5);
-  }
+  const std::string trace = tracedRunJsonl(options, 5, &traced);
 
-  EXPECT_GT(sink.events.size(), 0u);
+  EXPECT_NE(trace.find("\"type\":\"iteration\""), std::string::npos);
   EXPECT_EQ(plain.history.size(), traced.history.size());
   EXPECT_EQ(plain.best_eval.objective, traced.best_eval.objective);
   EXPECT_EQ(plain.n_low, traced.n_low);
   EXPECT_EQ(plain.n_high, traced.n_high);
-}
-
-TEST(Trace, NullSinkEmitsNothing) {
-  ASSERT_FALSE(telemetry::traceEnabled());
-  problems::ForresterProblem problem;
-  // No observer, no sink: the run must not emit or collect anything.
-  bo::MfboSynthesizer(tinyMfbo()).run(problem, 5);
-  EXPECT_EQ(telemetry::traceSink(), nullptr);
-}
-
-TEST(Trace, WriterWritesOneLinePerEvent) {
-  const std::string path = "test_telemetry_writer.jsonl";
-  {
-    telemetry::TraceWriter writer(path);
-    Json e = Json::object();
-    e.set("type", "a");
-    writer.write(e);
-    e.set("type", "b");
-    writer.write(e);
-    EXPECT_EQ(writer.eventsWritten(), 2u);
-  }
-  const std::string text = readFile(path);
-  EXPECT_EQ(text, "{\"type\":\"a\"}\n{\"type\":\"b\"}\n");
-  std::remove(path.c_str());
-}
-
-TEST(Trace, WriterThrowsOnUnopenablePath) {
-  EXPECT_THROW(telemetry::TraceWriter("/nonexistent-dir/trace.jsonl"),
-               std::runtime_error);
-}
-
-TEST(Trace, WriterCountsWriteErrorsAndWarnsOnce) {
-  // /dev/full accepts the open but fails every flush with ENOSPC — the
-  // canonical disk-full simulation.
-  std::FILE* full = std::fopen("/dev/full", "w");
-  if (full == nullptr) GTEST_SKIP() << "/dev/full unavailable";
-  {
-    telemetry::TraceWriter writer(full);  // borrowed stream
-    Json e = Json::object();
-    e.set("type", "doomed");
-    ::testing::internal::CaptureStderr();
-    writer.write(e);
-    writer.write(e);
-    const std::string warning = ::testing::internal::GetCapturedStderr();
-    // Dropped events never count as written; every failure is counted.
-    EXPECT_EQ(writer.eventsWritten(), 0u);
-    EXPECT_EQ(writer.writeErrors(), 2u);
-    // Exactly one stderr warning per writer, not one per event.
-    const std::string needle = "trace write failed";
-    std::size_t occurrences = 0;
-    for (std::size_t pos = warning.find(needle); pos != std::string::npos;
-         pos = warning.find(needle, pos + needle.size()))
-      ++occurrences;
-    EXPECT_EQ(occurrences, 1u);
-  }
-  std::fclose(full);
 }
 
 }  // namespace
